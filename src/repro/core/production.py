@@ -49,9 +49,9 @@ class Occurrence:
 class DeferredOccurrence:
     """Handle to a production run executing on a background thread.
 
-    The pipelined reconstruction loop starts the wait for the next
-    failure reoccurrence, then does speculative pre-solving while
-    :meth:`poll` returns ``None``.  The thread runs the *same*
+    A fleet instance (:mod:`repro.serve`) starts the wait for the next
+    failure reoccurrence and collects it with :meth:`wait`; :meth:`poll`
+    checks without blocking.  The thread runs the *same*
     :meth:`ProductionSite.run_once` body against the process-global
     telemetry registry (span stacks are thread-local, so concurrent
     production spans cannot corrupt the analysis side's nesting), which
@@ -96,8 +96,7 @@ class DeferredOccurrence:
         return self._finish()
 
     def wait(self) -> Occurrence:
-        """Block until the production run finishes (the pipelined
-        loop's final fallback once speculation work runs dry)."""
+        """Block until the production run finishes."""
         self._thread.join()
         return self._finish()
 
@@ -147,8 +146,8 @@ class ProductionSite:
         self.per_cpu_buffers = per_cpu_buffers
         #: simulated wall-clock seconds until the failure reoccurs (§3.3:
         #: real deployments take minutes-to-hours between occurrences;
-        #: the pipelined loop overlaps this wait with speculative
-        #: pre-solving).  Affects timing only, never outcomes.
+        #: ``repro serve`` measures how a fleet shortens this wait).
+        #: Affects timing only, never outcomes.
         self.reoccurrence_delay = reoccurrence_delay
         self._occurrence = 0
         self._untraced_failures = 0
@@ -160,9 +159,9 @@ class ProductionSite:
     def start(self, module: Module) -> DeferredOccurrence:
         """Begin waiting for the next occurrence without blocking.
 
-        Non-blocking counterpart of :meth:`run_once` for the pipelined
-        loop: the production wait runs on a background thread while the
-        caller speculates.  Only one deferred run may be active at a
+        Non-blocking counterpart of :meth:`run_once`: the production
+        wait runs on a background thread while the caller does other
+        work.  Only one deferred run may be active at a
         time — ``run_once`` mutates per-site state (occurrence index,
         ring capacity) that must not race.
         """

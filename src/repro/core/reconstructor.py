@@ -28,7 +28,6 @@ from ..solver.cache import SolverCache
 from ..symex.engine import ShepherdedSymex
 from ..symex.result import StallInfo
 from .instrument import instrument
-from .pipeline import Speculator, predict_preshard
 from .production import ProductionSite
 from .report import IterationRecord, ReconstructionReport, TestCase
 from .selection import RecordingPlan, select_key_values
@@ -40,14 +39,11 @@ logger = logging.getLogger(__name__)
 
 
 def _exact_driver(module, trace, failure, **kwargs):
-    # sharding/persistence/incrementality knobs only matter to the
-    # recovering driver's gap search; an exact trace has nothing to
-    # search or share, and stays bit-for-bit on the non-incremental path
-    kwargs.pop("shards", None)
+    # persistence/incrementality knobs only matter to the recovering
+    # driver's gap search; an exact trace has nothing to search or
+    # share, and stays bit-for-bit on the non-incremental path
     kwargs.pop("cache_dir", None)
-    kwargs.pop("steal", None)
     kwargs.pop("incremental", None)
-    kwargs.pop("preshard", None)
     return ShepherdedSymex(module, trace, failure, **kwargs).run()
 
 
@@ -84,33 +80,15 @@ class ExecutionReconstructor:
                  verify: bool = True,
                  selection: SelectionFn = select_key_values,
                  trace_recovery: bool = False,
-                 shards: int = 1,
                  cache_dir: Optional[str] = None,
-                 steal: bool = True,
-                 portfolio: int = 1,
-                 incremental: bool = True,
-                 pipeline: bool = False):
-        if shards < 1:
-            raise ValueError(f"shards must be >= 1, got {shards}")
-        if portfolio < 1:
-            raise ValueError(f"portfolio must be >= 1, got {portfolio}")
+                 incremental: bool = True):
         self.module = module
         self.work_limit = work_limit
         self.max_occurrences = max_occurrences
-        #: gap-recovery fan-out width (worker processes per search)
-        self.shards = shards
-        #: work-stealing shard scheduler (False: static 2^k prefixes)
-        self.steal = steal
         #: persistent cross-process solver-cache directory
         self.cache_dir = cache_dir
-        #: solver-strategy race width per query (1: reference only)
-        self.portfolio = portfolio
         #: assumption-stack reuse across sibling gap attempts
         self.incremental = incremental
-        #: pipelined loop: overlap the production wait with speculative
-        #: pre-solving and gap-search pre-sharding (outcome-identical to
-        #: the sequential loop — see core/pipeline.py)
-        self.pipeline = pipeline
         #: occurrences of *other* bugs never consume the reconstruction
         #: budget — ours still reoccurs regardless of how noisy the
         #: deployment is — but give-up must stay decidable, so they get
@@ -150,18 +128,13 @@ class ExecutionReconstructor:
         #: starts from the previous iteration's partial model, and the
         #: common constraint prefix hits instead of being re-solved;
         #: with a cache_dir, a persistent tier shares results across
-        #: shards, reconstructions, and processes
+        #: reconstructions and processes
         persistent = None
         if self.cache_dir is not None:
             from ..solver.diskcache import DiskSolverCache
             persistent = DiskSolverCache(self.cache_dir)
         solver_cache = SolverCache(persistent=persistent)
         unrelated = 0
-        #: pipelined-loop state: the speculator pre-solving the next
-        #: occurrence's stall-point queries, and the predicted prefix
-        #: partition for its gap search
-        speculator: Optional[Speculator] = None
-        preshard = None
 
         occurrence_no = 0
         while occurrence_no < self.max_occurrences:
@@ -169,8 +142,7 @@ class ExecutionReconstructor:
                         occurrence_no + 1)
             with tel.span("reconstruct.production",
                           iteration=occurrence_no + 1) as prod_span:
-                occurrence = self._await_occurrence(production, deployed,
-                                                    speculator)
+                occurrence = production.run_once(deployed)
             normalized = normalize_failure(deployed, occurrence.failure)
             if signature is None:
                 signature = normalized
@@ -197,12 +169,6 @@ class ExecutionReconstructor:
                         unrelated_occurrences=unrelated)
                 continue
             occurrence_no += 1
-            if speculator is not None:
-                # strict commit rule: only speculations whose assumed
-                # values exactly match this occurrence's recorded ones
-                # become (cache-mediated) facts; the rest are discarded
-                speculator.commit(occurrence)
-                speculator = None
 
             with tel.span("reconstruct.symex",
                           iteration=occurrence_no) as symex_span:
@@ -210,13 +176,8 @@ class ExecutionReconstructor:
                                            occurrence.failure,
                                            work_limit=self.work_limit,
                                            solver_cache=solver_cache,
-                                           shards=self.shards,
                                            cache_dir=self.cache_dir,
-                                           steal=self.steal,
-                                           portfolio=self.portfolio,
-                                           incremental=self.incremental,
-                                           preshard=preshard)
-            preshard = None
+                                           incremental=self.incremental)
             record = IterationRecord(
                 occurrence=occurrence_no,
                 status=result.status,
@@ -287,52 +248,11 @@ class ExecutionReconstructor:
             next_tag = instrumented.next_tag
             already_recorded.update(
                 (item.point.func, item.register) for item in plan.items)
-            if self.pipeline:
-                speculator = Speculator(
-                    result.stall, plan, instrumented, solver_cache,
-                    work_limit=self.work_limit,
-                    cache_dir=self.cache_dir,
-                    pool=self._speculation_pool())
-                preshard = predict_preshard(occurrence.trace,
-                                            self.shards, self.steal)
 
         return ReconstructionReport(
             success=False, failure=signature, test_case=None,
             occurrences=self.max_occurrences, iterations=iterations,
             final_module=deployed, unrelated_occurrences=unrelated)
-
-    def _speculation_pool(self):
-        """The shared worker pool for speculation tasks, or None for
-        inline speculation (serial config, or already inside a pool
-        worker that cannot spawn children)."""
-        from ..parallel import get_pool, in_pool_worker
-
-        if self.shards <= 1 or in_pool_worker():
-            return None
-        return get_pool(self.shards)
-
-    def _await_occurrence(self, production: ProductionSite,
-                          deployed: Module,
-                          speculator: Optional[Speculator]):
-        """The next occurrence — sequential wait, or the pipelined
-        deferred wait with speculation filling the idle time.
-
-        The worker pool (when configured) is spawned *before* the
-        production thread starts: forking after this process is
-        multi-threaded risks inheriting a lock mid-acquisition.
-        """
-        if not self.pipeline:
-            return production.run_once(deployed)
-        if speculator is not None and speculator.pool is not None:
-            speculator.pool.ensure_workers()
-        deferred = production.start(deployed)
-        occurrence = deferred.poll()
-        while occurrence is None:
-            if speculator is not None and speculator.step():
-                occurrence = deferred.poll()
-                continue
-            occurrence = deferred.wait()
-        return occurrence
 
     @staticmethod
     def _emit_iteration(tel, record: IterationRecord) -> None:

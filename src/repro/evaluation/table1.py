@@ -147,18 +147,14 @@ def run_table1(names: Optional[List[str]] = None,
 
         tel = telemetry.get()
         pool = get_pool(min(parallel, len(selected)))
-        job = pool.begin_job({}, context=tel.trace_context())
+        job = pool.begin_job(context=tel.trace_context())
         rows_by_task: dict = {}
         errors: List[BaseException] = []
         try:
             for workload in selected:
                 job.submit(_run_workload_row, workload.name)
-            remaining = len(selected)
-            while remaining:
+            for _ in selected:
                 kind, task_id, body = job.next_message()
-                if kind == "split":
-                    continue
-                remaining -= 1
                 if kind == "err":
                     errors.append(RuntimeError(
                         f"table-1 row for "

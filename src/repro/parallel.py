@@ -7,15 +7,13 @@ cache — so the batch runner fans workloads out over a persistent
 shepherded symbolic execution is pure Python and CPU-bound.
 
 The pool is fork-server-style and process-wide: spawned lazily on the
-first job, then *reused* across shard searches, batch runs, and the
-pipelined loop's speculation tasks instead of paying a fresh
-spin-up per call.  Jobs are generation-tagged — each
-:meth:`WorkerPool.begin_job` broadcasts a new generation payload (the
-shared module/trace/config that used to ride a pool initializer)
-through per-worker control queues, so redeploying a job is a message,
-not a respawn.  Workers batch their telemetry: one stats message per
-job per worker instead of a snapshot per task.  Idle pools reap their
-workers after :data:`POOL_IDLE_REAP_SECONDS`; :func:`close_pool` (also
+first job, then *reused* across batch runs (and the Table-1 harness)
+instead of paying a fresh spin-up per call.  Jobs are generation-tagged
+— each :meth:`WorkerPool.begin_job` broadcasts a new generation through
+per-worker control queues, so starting a job is a message, not a
+respawn.  Workers batch their telemetry: one stats message per job per
+worker instead of a snapshot per task.  Idle pools reap their workers
+after :data:`POOL_IDLE_REAP_SECONDS`; :func:`close_pool` (also
 registered atexit) tears the shared pool down explicitly.
 
 Every worker runs under its own telemetry registry and ships back a
@@ -29,43 +27,18 @@ single combined JSONL log (each event tagged with its workload) that
 same reports, no executor — which is also the serial baseline that
 ``repro bench`` compares against to measure the speedup.
 
-Beside the batch runner lives :func:`shard_gap_search`: intra-
-reconstruction parallelism.  One gap-recovery search (the serial DFS in
-``repro.symex.gaps``) is split into decision-vector *prefix subspaces*,
-each explored by a worker process confined to its prefix; the winner is
-the first non-diverged outcome in serial DFS order, so the sharded
-search returns the same result the serial search would.  Workers share
-solver work through the persistent disk cache (``cache_dir``) and ship
-back reduced, picklable outcomes — the parent replays the winning
-decision vector once, in-process, to materialize the full
-:class:`~repro.symex.result.SymexResult` (terms never cross process
-boundaries).
-
-Two schedulers drive the shard tasks.  The static one (``steal=False``)
-fans out 2^k fixed prefixes and scans their futures in DFS order.  The
-default work-stealing one keeps workers pulling subspaces from a shared
-work queue; an idle worker posts a steal token, and the next busy
-worker to hit a gap-decision checkpoint donates the unexplored half of
-its subspace (its current decision prefix extended by one bit — the
-victim keeps the half it is searching, the thief takes the sibling).
-The parent consumes outcomes as they complete but commits the winner by
-serial DFS order, only cancelling in-flight shards (via a shared
-``multiprocessing.Event`` polled at every checkpoint) once no earlier
-subspace is still outstanding — so both schedulers return byte-
-identical results to the serial search.
-
 Everything that crosses a process boundary here carries *trace
 context*: the parent captures :meth:`Telemetry.trace_context` inside
-its fan-out span and hands it to every worker, whose registry joins the
-parent's trace (same ``trace_id``, root spans parented on the handoff
-span) and rebases its clock onto the parent timeline — so a merged
-event stream renders as one causally-linked tree in the Perfetto
-exporter.  The schedulers also meter their own coordination overhead:
-``parallel.queue_wait_seconds`` (task enqueue → dequeue, shared wall
-clock), ``parallel.worker_idle_seconds`` (stealing workers blocked on
-an empty work queue), ``parallel.steal_latency_seconds`` (steal token
-posted → serviced), and ``parallel.pool_spinup`` / ``pool_teardown``
-spans — surfaced by ``repro stats`` as the overhead-attribution table.
+its ``parallel.batch`` span and hands it to every worker, whose
+registry joins the parent's trace (same ``trace_id``, root spans
+parented on the handoff span) and rebases its clock onto the parent
+timeline — so a merged event stream renders as one causally-linked
+tree in the Perfetto exporter.  The pool also meters its own
+coordination overhead: ``parallel.queue_wait_seconds`` (task enqueue →
+dequeue, shared wall clock), ``parallel.worker_idle_seconds`` (workers
+blocked on an empty task queue), and ``parallel.pool_spinup`` /
+``pool_teardown`` spans — surfaced by ``repro stats`` as the
+overhead-attribution table.
 """
 
 from __future__ import annotations
@@ -80,32 +53,20 @@ import time
 import traceback
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from itertools import product
 from queue import Empty
 from typing import Any, Callable, Dict, Iterator, List, Optional, \
     Sequence, Tuple, Union
 
 from . import telemetry
 from .core import ExecutionReconstructor, ProductionSite
-from .errors import SearchCancelled
-from .solver import terms as T
-from .solver.cache import SolverCache
-from .solver.diskcache import DiskSolverCache
-from .solver.incremental import AssumptionStack
-from .symex.engine import ShepherdedSymex
-from .symex.gaps import _search_gap_decisions
 from .trace.degrade import gap_count
 from .workloads import get_workload, workload_names
 
-__all__ = ["BatchItem", "BatchResult", "GapShardOutcome", "WorkerPool",
-           "close_pool", "get_pool", "in_pool_worker",
-           "measure_incremental_ab", "private_pool", "run_batch",
-           "shard_gap_search", "write_merged_jsonl"]
+__all__ = ["BatchItem", "BatchResult", "WorkerPool", "close_pool",
+           "get_pool", "in_pool_worker", "measure_incremental_ab",
+           "private_pool", "run_batch", "write_merged_jsonl"]
 
 logger = logging.getLogger(__name__)
-
-#: ceiling on the prefix depth (2^depth shard tasks)
-MAX_SHARD_DEPTH = 6
 
 
 @dataclass
@@ -227,25 +188,17 @@ def _solver_cache_stats(counters: Dict) -> Dict[str, float]:
 
 def _reconstruct_one(name: str, capture_events: bool,
                      cache_dir: Optional[str] = None,
-                     context: Optional[telemetry.TraceContext] = None,
-                     enqueued: Optional[float] = None,
-                     portfolio: int = 1,
-                     pipeline: bool = False,
-                     reoccurrence_delay: float = 0.0) -> BatchItem:
+                     context: Optional[telemetry.TraceContext] = None
+                     ) -> BatchItem:
     """Worker body: one workload under a private telemetry registry.
 
     Runs in a pool process (or inline for ``parallel=1``); must only
     return picklable data, so the report's module/test-case objects are
     reduced to scalars here rather than shipped back.  ``context`` links
-    the registry into the parent's trace; ``enqueued`` (the parent's
-    submit wall-time) meters queue wait — which for the pool's first
-    tasks honestly includes the worker-process spawn cost.
+    the registry into the parent's trace.
     """
     sink = telemetry.MemorySink() if capture_events else None
     registry = telemetry.Telemetry(sink, context=context)
-    if enqueued is not None:
-        registry.histogram("parallel.queue_wait_seconds").record(
-            max(time.time() - enqueued, 0.0))
     item = BatchItem(workload=name, worker=os.getpid())
     started = time.perf_counter()
     with telemetry.scoped(registry):
@@ -255,12 +208,9 @@ def _reconstruct_one(name: str, capture_events: bool,
                 workload.fresh_module(),
                 work_limit=workload.work_limit,
                 max_occurrences=workload.max_occurrences,
-                cache_dir=cache_dir,
-                portfolio=portfolio,
-                pipeline=pipeline)
+                cache_dir=cache_dir)
             report = reconstructor.reconstruct(
-                ProductionSite(workload.failing_env,
-                               reoccurrence_delay=reoccurrence_delay))
+                ProductionSite(workload.failing_env))
             item.success = report.success
             item.verified = report.verified
             item.occurrences = report.occurrences
@@ -286,23 +236,16 @@ def run_batch(names: Optional[Sequence[str]] = None, *,
               parallel: int = 1,
               capture_events: bool = False,
               cache_dir: Optional[str] = None,
-              portfolio: int = 1,
-              pipeline: bool = False,
-              reoccurrence_delay: float = 0.0,
               pool: Optional[WorkerPool] = None) -> BatchResult:
     """Reconstruct ``names`` (default: every workload), ``parallel``-wide.
 
     Results come back in input order regardless of completion order.  A
     workload that raises contributes a :class:`BatchItem` with ``error``
     set instead of aborting the batch.  ``cache_dir`` points every
-    worker at one shared persistent solver cache; ``portfolio`` is the
-    per-worker solver-strategy race width (answers are unchanged, so
-    batch results stay comparable across widths).  ``pool`` overrides
+    worker at one shared persistent solver cache.  ``pool`` overrides
     the process-wide shared :class:`WorkerPool`; by default the batch
     reuses (and, first time, lazily spawns) the shared one, so repeated
-    batches pay at most one spin-up.  ``pipeline`` turns on each item's
-    pipelined reconstruction loop and ``reoccurrence_delay`` simulates
-    the production wait it overlaps (outcomes are unaffected by both).
+    batches pay at most one spin-up.
     """
     names = list(names) if names is not None else workload_names()
     if parallel < 1:
@@ -319,16 +262,14 @@ def run_batch(names: Optional[Sequence[str]] = None, *,
         context = tel.trace_context()
         if parallel == 1 or len(names) <= 1:
             items = [_reconstruct_one(name, capture_events, cache_dir,
-                                      context, None, portfolio,
-                                      pipeline, reoccurrence_delay)
+                                      context)
                      for name in names]
         else:
             workers = min(parallel, len(names))
             target = pool if pool is not None else get_pool(workers)
             # the job-level registry carries queue-wait/idle metering;
             # item event streams ride the BatchItem itself
-            job = target.begin_job({}, capture_events=False,
-                                   context=context)
+            job = target.begin_job(capture_events=False, context=context)
             if job.spinup_seconds:
                 overhead.histogram("span.parallel.pool_spinup").record(
                     job.spinup_seconds)
@@ -337,14 +278,9 @@ def run_batch(names: Optional[Sequence[str]] = None, *,
             try:
                 for name in names:
                     job.submit(_reconstruct_one, name, capture_events,
-                               cache_dir, context, None, portfolio,
-                               pipeline, reoccurrence_delay)
-                remaining = len(names)
-                while remaining:
+                               cache_dir, context)
+                for _ in names:
                     kind, task_id, body = job.next_message()
-                    if kind == "split":
-                        continue
-                    remaining -= 1
                     if kind == "err":
                         errors.append(RuntimeError(
                             f"batch task for workload "
@@ -407,45 +343,8 @@ def write_merged_jsonl(result: BatchResult,
     return lines + 1
 
 
-# ----------------------------------------------------------------------
-# sharded gap recovery (intra-reconstruction parallelism)
-
-@dataclass
-class GapShardOutcome:
-    """One shard's reduced search outcome, picklable across processes.
-
-    Deliberately term-free: only the decision bits travel back; the
-    parent replays them in-process to rebuild the full result.
-    ``status`` extends the engine statuses with ``"cancelled"`` (the
-    shard stopped at a checkpoint after the winner was committed; its
-    ``gap_attempts`` count the replays finished before stopping) and
-    ``"error"`` (the search raised; ``error`` carries the message).
-    """
-
-    prefix: List[bool]
-    status: str = "diverged"
-    gap_bits: List[bool] = field(default_factory=list)
-    gap_attempts: int = 0
-    divergence_reason: Optional[str] = None
-    diverged_chunk: Optional[int] = None
-    worker: int = 0
-    wall_seconds: float = 0.0
-    #: subspaces this shard donated to thieves while searching
-    steals_donated: int = 0
-    #: worker-side failure description (``status == "error"`` only)
-    error: Optional[str] = None
-    #: this shard's full metric snapshot
-    telemetry: Dict = field(default_factory=dict)
-    #: structured event stream (captured when the parent's sink is live)
-    events: List[Dict] = field(default_factory=list)
-
-
-#: per-process shard state, refreshed by each job's generation payload
-#: so the module/trace are not re-pickled for every prefix task
-_SHARD_STATE: Dict = {}
-
-#: how long an idle worker waits on the task queue before (re)posting a
-#: steal token, and how long the parent waits on the results queue
+#: how long an idle worker waits on the task queue before rechecking its
+#: control queue, and how long the parent waits on the results queue
 #: before health-checking its workers
 _WORKER_POLL = 0.05
 _PARENT_POLL = 0.1
@@ -458,14 +357,13 @@ POOL_IDLE_REAP_SECONDS = 300.0
 _STATS_DEADLINE = 30.0
 
 
-def _pool_worker_main(slot: int, control_q, task_q, results_q, steal_q,
-                      cancel) -> None:
+def _pool_worker_main(slot: int, control_q, task_q, results_q) -> None:
     """Persistent worker main loop: generations of tasks, one process.
 
     The worker alternates between its private control queue (generation
     payloads, end-of-job markers, stop) and the shared task queue.  A
-    ``("gen", id, payload)`` message replaces :data:`_SHARD_STATE` and
-    opens a fresh per-job telemetry registry joined to the parent's
+    ``("gen", id, payload)`` message opens a fresh per-job telemetry
+    registry joined to the parent's
     trace; every task of that generation runs scoped to it.  A task
     tagged with a *newer* generation than the worker has seen makes the
     worker block on its control queue — the parent always broadcasts
@@ -474,9 +372,8 @@ def _pool_worker_main(slot: int, control_q, task_q, results_q, steal_q,
     telemetry back as a single batched ``("stats", ...)`` message (one
     per job per worker, not one per task).
 
-    Idle workers under a stealing job post steal tokens exactly as the
-    old per-call loop did; idle stretches and task queue-wait land in
-    the job registry.  Task exceptions are shipped as ``("err", ...)``
+    Idle stretches and task queue-wait land in the job registry.  Task
+    exceptions are shipped as ``("err", ...)``
     messages — the worker itself never dies on a task failure.
     """
     global _IN_POOL_WORKER
@@ -496,15 +393,7 @@ def _pool_worker_main(slot: int, control_q, task_q, results_q, steal_q,
                     if payload["capture_events"] else None)
             registry = telemetry.Telemetry(sink,
                                            context=payload["context"])
-            _SHARD_STATE.clear()
-            _SHARD_STATE.update(payload["state"])
-            _SHARD_STATE.update(
-                cancel=cancel,
-                steal_q=steal_q if payload["steal"] else None,
-                results_q=results_q)
-            job = {"registry": registry, "sink": sink,
-                   "steal": payload["steal"],
-                   "meter": payload["meter_queue_wait"]}
+            job = {"registry": registry, "sink": sink}
             return True
         if kind == "end":
             _, end_gen = message
@@ -513,7 +402,6 @@ def _pool_worker_main(slot: int, control_q, task_q, results_q, steal_q,
                 results_q.put(("stats", end_gen, slot,
                                job["registry"].snapshot(), events))
             job = None
-            _SHARD_STATE.clear()
             return True
         return False  # "stop"
 
@@ -529,12 +417,8 @@ def _pool_worker_main(slot: int, control_q, task_q, results_q, steal_q,
         try:
             task = task_q.get(timeout=_WORKER_POLL)
         except Empty:
-            if job is not None:
-                if idle_since is None:
-                    idle_since = time.perf_counter()
-                if job["steal"] and not cancel.is_set() \
-                        and steal_q.empty():
-                    steal_q.put((slot, time.time()))
+            if job is not None and idle_since is None:
+                idle_since = time.perf_counter()
             continue
         task_id, task_gen, func, args, enqueued = task
         while task_gen > gen:
@@ -549,9 +433,8 @@ def _pool_worker_main(slot: int, control_q, task_q, results_q, steal_q,
             registry.histogram("parallel.worker_idle_seconds").record(
                 time.perf_counter() - idle_since)
             idle_since = None
-        if job["meter"] and enqueued is not None:
-            registry.histogram("parallel.queue_wait_seconds").record(
-                max(time.time() - enqueued, 0.0))
+        registry.histogram("parallel.queue_wait_seconds").record(
+            max(time.time() - enqueued, 0.0))
         try:
             with telemetry.scoped(registry):
                 result = func(*args)
@@ -575,9 +458,8 @@ class _PoolJob:
     """One generation of tasks on a :class:`WorkerPool`.
 
     Created by :meth:`WorkerPool.begin_job`; the caller submits tasks,
-    consumes exactly one message per task via :meth:`next_message`
-    (plus any ``("split", prefix)`` donations), then calls
-    :meth:`finish` to collect the per-worker telemetry batch.
+    consumes exactly one message per task via :meth:`next_message`,
+    then calls :meth:`finish` to collect the per-worker telemetry batch.
     """
 
     def __init__(self, pool: "WorkerPool", gen: int,
@@ -601,9 +483,9 @@ class _PoolJob:
         return task_id
 
     def next_message(self) -> Tuple[str, Any, Any]:
-        """Next ``("done", task_id, result)``, ``("err", task_id, msg)``
-        or ``("split", prefix, None)`` message; health-checks worker
-        processes while the results queue is quiet."""
+        """Next ``("done", task_id, result)`` or ``("err", task_id, msg)``
+        message; health-checks worker processes while the results queue
+        is quiet."""
         pool = self.pool
         while True:
             try:
@@ -616,8 +498,6 @@ class _PoolJob:
                             f"code {proc.exitcode}) mid-job")
                 continue
             kind = message[0]
-            if kind == "split":
-                return ("split", message[1], None)
             if kind in ("done", "err"):
                 _, task_id, gen, body = message
                 if gen != self.gen:
@@ -655,8 +535,6 @@ class _PoolJob:
                 remaining.discard(slot)
                 self._snapshots.append(snapshot)
                 self._events.extend(events)
-            # cancelled-task leftovers are dropped here by design
-        pool._drain(pool._steal_q)
         pool._active_job = None
         pool._last_used = time.monotonic()
         self._finished = True
@@ -666,12 +544,11 @@ class _PoolJob:
 class WorkerPool:
     """A persistent, generation-tagged pool of fork-server workers.
 
-    Spawned lazily on the first job and reused across shard searches,
-    batch items, and speculation tasks — redeploying work is a
-    generation message on each worker's control queue, not a process
-    respawn.  All queues and the shared cancel event are created before
-    the workers so multiprocessing's inheritance path (not task
-    pickling) carries them.  One job runs at a time; concurrency comes
+    Spawned lazily on the first job and reused across batches — starting
+    a job is a generation message on each worker's control queue, not a
+    process respawn.  All queues are created before the workers so
+    multiprocessing's inheritance path (not task pickling) carries
+    them.  One job runs at a time; concurrency comes
     from the workers, not from overlapping jobs.
     """
 
@@ -689,18 +566,11 @@ class WorkerPool:
         self._ctx = multiprocessing.get_context()
         self._task_q = self._ctx.Queue()
         self._results_q = self._ctx.Queue()
-        self._steal_q = self._ctx.Queue()
-        self._cancel = self._ctx.Event()
         self._procs: List = []
         self._controls: List = []
         self._gen = 0
         self._active_job: Optional[_PoolJob] = None
         self._last_used = time.monotonic()
-
-    @property
-    def cancel(self):
-        """The shared cooperative-cancellation event (cleared per job)."""
-        return self._cancel
 
     @property
     def alive(self) -> bool:
@@ -724,8 +594,7 @@ class WorkerPool:
         Returns the spin-up wall cost, 0.0 when live workers were
         reused.  The spin-up span lands on the ambient registry, so
         ``span.parallel.pool_spinup`` feeds the overhead-attribution
-        table exactly as the per-call executor's did — but at most once
-        per pool lifetime instead of once per search.
+        table — at most once per pool lifetime, not once per batch.
         """
         if self.closed:
             raise RuntimeError("worker pool is closed")
@@ -741,30 +610,24 @@ class WorkerPool:
         telemetry.count("parallel.pool.spinups")
         return span.seconds
 
-    def begin_job(self, state: Dict, *, steal: bool = False,
-                  capture_events: bool = False, context=None,
-                  meter_queue_wait: bool = True) -> _PoolJob:
-        """Start a new generation: broadcast ``state`` to every worker.
+    def begin_job(self, *, capture_events: bool = False,
+                  context=None) -> _PoolJob:
+        """Start a new generation on every worker.
 
-        ``state`` replaces the workers' :data:`_SHARD_STATE` (the old
-        pool-initializer payload); ``steal`` arms idle-worker steal
-        tokens; ``capture_events`` buffers worker event streams for the
-        job's stats batch.  Counts a pool *reuse* when no spawn was
+        ``capture_events`` buffers worker event streams for the job's
+        stats batch; ``context`` joins the workers' registries to the
+        caller's trace.  Counts a pool *reuse* when no spawn was
         needed — the telemetry the benchmark asserts amortization on.
         """
         if self._active_job is not None:
             raise RuntimeError("pool already has an active job")
         spinup = self.ensure_workers()
-        self._cancel.clear()
-        self._drain(self._steal_q)
         self._gen += 1
         self.jobs += 1
         telemetry.count("parallel.pool.generations")
         if spinup == 0.0:
             telemetry.count("parallel.pool.reuses")
-        payload = {"state": state, "steal": steal,
-                   "capture_events": capture_events, "context": context,
-                   "meter_queue_wait": meter_queue_wait}
+        payload = {"capture_events": capture_events, "context": context}
         for control in self._controls:
             control.put(("gen", self._gen, payload))
         job = _PoolJob(self, self._gen, spinup)
@@ -775,8 +638,7 @@ class WorkerPool:
     def maybe_reap(self, now: Optional[float] = None) -> bool:
         """Reap live workers if the pool has idled past the threshold.
 
-        Called opportunistically (end of a batch, pipeline wait loop);
-        the pool stays open — the next job just pays a fresh spin-up.
+        Called opportunistically (end of a batch); the pool stays open — the next job just pays a fresh spin-up.
         """
         if self.closed or not self._procs or self._active_job is not None:
             return False
@@ -809,8 +671,7 @@ class WorkerPool:
             proc = self._ctx.Process(
                 target=_pool_worker_main,
                 name=f"repro-pool-{slot}",
-                args=(slot, control, self._task_q, self._results_q,
-                      self._steal_q, self._cancel),
+                args=(slot, control, self._task_q, self._results_q),
                 daemon=True)
             proc.start()
             self._controls.append(control)
@@ -831,7 +692,7 @@ class WorkerPool:
         self._procs = []
         self._controls = []
         self._gen += 1  # invalidate any stale queued tasks
-        for q in (self._task_q, self._results_q, self._steal_q):
+        for q in (self._task_q, self._results_q):
             self._drain(q)
 
     @staticmethod
@@ -849,8 +710,8 @@ _POOL: Optional[WorkerPool] = None
 
 def get_pool(workers: int) -> WorkerPool:
     """The process-wide shared :class:`WorkerPool`, grown to at least
-    ``workers`` wide.  All pool consumers (shard searches, batches,
-    speculation) share it, which is what amortizes the spin-up."""
+    ``workers`` wide.  All pool consumers (batches and the Table-1
+    harness) share it, which is what amortizes the spin-up."""
     global _POOL
     if in_pool_worker():
         raise RuntimeError("nested worker pools are not supported")
@@ -874,8 +735,7 @@ atexit.register(close_pool)
 
 @contextmanager
 def private_pool(workers: int) -> Iterator[WorkerPool]:
-    """A throwaway pool with per-call lifetime — the A/B baseline the
-    benchmark compares the shared pool against."""
+    """A throwaway pool with per-call lifetime (closed on exit)."""
     pool = WorkerPool(workers, idle_reap_seconds=None)
     try:
         yield pool
@@ -883,431 +743,23 @@ def private_pool(workers: int) -> Iterator[WorkerPool]:
         pool.close()
 
 
-class _StealControl:
-    """Worker-side checkpoint hook: cancellation + subspace donation.
-
-    ``checkpoint`` runs before every replay in
-    :func:`~repro.symex.gaps._search_gap_decisions`.  It aborts the
-    shard once the parent committed a winner (``cancel`` event), and —
-    under the stealing scheduler — serves at most one pending steal
-    token by donating the unexplored half of this shard's remaining
-    subspace: the shallowest liberated decision still set to True marks
-    a False-sibling subtree the DFS has not entered (the search never
-    returns a bit from False to True), so extending the current prefix
-    there is a sound split.  The donated prefix travels to the parent
-    (a ``("split", prefix)`` result message), which accounts for the
-    new subspace *before* requeueing it — a thief can therefore never
-    report an outcome the parent has not yet learned to expect.
-    """
-
-    def __init__(self, prefix, cancel, steal_q=None, results_q=None):
-        self.prefix = list(prefix)
-        self.cancel = cancel
-        self.steal_q = steal_q
-        self.results_q = results_q
-        self.donated = 0
-
-    def checkpoint(self, decisions: List[bool], locked_prefix: int,
-                   attempts: int) -> int:
-        if self.cancel is not None and self.cancel.is_set():
-            raise SearchCancelled(attempts)
-        if self.steal_q is None:
-            return locked_prefix
-        try:
-            thief, posted = self.steal_q.get_nowait()
-        except Empty:
-            return locked_prefix
-        # token post → service latency, on the shared wall clock; the
-        # instant events land on the *victim's* track (this process)
-        latency = max(time.time() - posted, 0.0)
-        telemetry.histogram("parallel.steal_latency_seconds").record(
-            latency)
-        telemetry.event("parallel.steal_token", thief=thief,
-                        latency_s=round(latency, 6))
-        for i in range(locked_prefix, len(decisions)):
-            if decisions[i]:
-                stolen = list(decisions[:i]) + [False]
-                self.results_q.put(("split", stolen))
-                self.donated += 1
-                telemetry.event("parallel.split", thief=thief,
-                                prefix_len=len(stolen))
-                return i + 1
-        # nothing left to halve (all remaining bits already False):
-        # drop the token; idle workers re-post while the queue is dry
-        return locked_prefix
-
-
-def _gap_shard_run(prefix: List[bool]) -> GapShardOutcome:
-    """Pool-task body: search one prefix subspace under the job state.
-
-    Fresh term scope and in-memory solver cache per shard; the
-    persistent tier (when ``cache_dir`` is set) is the only shared
-    state, so shards warm-start each other's common-prefix queries
-    through the disk file.  Telemetry goes to the ambient registry —
-    the per-job registry the pool worker scoped this task to — and
-    ships back batched in the job's stats message, so the returned
-    outcome carries only the reduced search result.
-    """
-    state = _SHARD_STATE
-    tel = telemetry.get()
-    outcome = GapShardOutcome(prefix=list(prefix), worker=os.getpid())
-    started = time.perf_counter()
-    cache_dir = state["cache_dir"]
-    cache = SolverCache(
-        persistent=DiskSolverCache(cache_dir) if cache_dir else None)
-    engine_kwargs = dict(state["engine_kwargs"])
-    if engine_kwargs.pop("incremental", False):
-        # per-shard assumption stack: each worker's DFS walks its own
-        # sibling prefixes, so retained state never crosses processes
-        cache.assumptions = AssumptionStack()
-    control = _StealControl(prefix, state.get("cancel"),
-                            steal_q=state.get("steal_q"),
-                            results_q=state.get("results_q"))
-    try:
-        with T.term_scope(), tel.span("parallel.shard_search",
-                                      prefix_len=len(prefix)):
-            result = _search_gap_decisions(
-                state["module"], state["trace"], state["failure"],
-                state["max_attempts"], cache, engine_kwargs,
-                initial_decisions=list(prefix), locked_prefix=len(prefix),
-                control=control)
-    except SearchCancelled as stop:
-        outcome.status = "cancelled"
-        outcome.gap_attempts = stop.attempts
-        outcome.divergence_reason = "cancelled: winner committed elsewhere"
-        tel.event("parallel.shard_cancelled", attempts=stop.attempts)
-    else:
-        outcome.status = result.status
-        outcome.gap_bits = list(result.gap_bits)
-        outcome.gap_attempts = result.gap_attempts
-        outcome.divergence_reason = result.divergence_reason
-        outcome.diverged_chunk = result.diverged_chunk
-    outcome.steals_donated = control.donated
-    outcome.wall_seconds = time.perf_counter() - started
-    return outcome
-
-
-def _shard_prefixes(trace, shards: int) -> List[List[bool]]:
-    """Decision-vector prefixes partitioning the gap space, in serial
-    DFS order (True before False at every position), so scanning shard
-    outcomes in task order finds the same first solution the serial
-    search would."""
-    gaps = gap_count(trace)
-    depth = min(gaps, max(1, (shards - 1).bit_length() + 2),
-                MAX_SHARD_DEPTH)
-    if depth <= 0:
-        return []
-    return [list(bits) for bits in product((True, False), repeat=depth)]
-
-
-def _steal_prefixes(trace, shards: int) -> List[List[bool]]:
-    """Seed prefixes for the stealing scheduler: one per worker.
-
-    Unlike the static fan-out there is no need to over-partition —
-    idle workers rebalance by stealing — so the depth only covers the
-    pool width and the initial tasks stay as large as possible."""
-    gaps = gap_count(trace)
-    depth = min(gaps, max(1, (shards - 1).bit_length()), MAX_SHARD_DEPTH)
-    if depth <= 0:
-        return []
-    return [list(bits) for bits in product((True, False), repeat=depth)]
-
-
-def _dfs_key(bits: Sequence[bool]) -> Tuple[int, ...]:
-    """Serial-DFS visit order as a sortable key (True before False)."""
-    return tuple(0 if bit else 1 for bit in bits)
-
-
-def _choose_outcome(outcomes: Sequence[GapShardOutcome]
-                    ) -> GapShardOutcome:
-    """Commit the winner exactly as the serial DFS would.
-
-    The first non-diverged leaf in serial DFS order wins; with none, the
-    DFS-last subspace's final divergence stands in for the serial
-    search's last attempt.  Cancelled shards never compete — they are
-    all DFS-after a finalized winner by construction.
-    """
-    candidates = [o for o in outcomes
-                  if o.status not in ("cancelled", "error")]
-    if not candidates:
-        raise RuntimeError("sharded gap search produced no outcomes")
-    solutions = [o for o in candidates if o.status != "diverged"]
-    if solutions:
-        return min(solutions, key=lambda o: (_dfs_key(o.gap_bits),
-                                             _dfs_key(o.prefix)))
-    return max(candidates, key=lambda o: _dfs_key(o.prefix))
-
-
-def _static_shard_outcomes(pool, state, prefixes,
-                           context=None, capture_events=False):
-    """Static scheduler: 2^k fixed prefix tasks, scanned in DFS order.
-
-    Returns ``(outcomes, errors, snapshots, events)``.  Task ids equal
-    submission (= serial DFS) order, so the winner scan walks a results
-    dict by index exactly as the old future loop did: the cancel event
-    is raised only once the scan *frontier* reaches a non-diverged
-    outcome — tasks DFS-after a slow earlier shard keep running until
-    that shard lands, the same conservative timing as before.  Every
-    submitted task is still drained so attempt totals stay complete and
-    worker exceptions surface instead of vanishing.
-    """
-    job = pool.begin_job(state, steal=False,
-                         capture_events=capture_events, context=context)
-    outcomes: List[GapShardOutcome] = []
-    errors: List[BaseException] = []
-    try:
-        for prefix in prefixes:
-            job.submit(_gap_shard_run, prefix)
-        results: Dict[int, GapShardOutcome] = {}
-        scan = 0
-        decided = False
-        remaining = len(prefixes)
-        while remaining:
-            kind, task_id, body = job.next_message()
-            if kind == "split":
-                continue  # static jobs withhold the steal queue
-            remaining -= 1
-            if kind == "err":
-                errors.append(RuntimeError(
-                    f"gap shard task {task_id} failed: {body}"))
-                pool.cancel.set()
-                continue
-            results[task_id] = body
-            outcomes.append(body)
-            while not decided and scan in results:
-                outcome = results[scan]
-                scan += 1
-                if outcome.status not in ("diverged", "cancelled"):
-                    decided = True
-                    pool.cancel.set()
-    finally:
-        snapshots, events = job.finish()
-    return outcomes, errors, snapshots, events
-
-
-def _steal_shard_outcomes(pool, state, prefixes,
-                          context=None, capture_events=False):
-    """Work-stealing scheduler: a shared queue of splittable subspaces.
-
-    The parent is the only consumer of the results queue and the only
-    producer of shard tasks, which keeps the accounting exact:
-    ``pending`` counts subspaces handed to the pool minus outcomes
-    received, and a ``("split", prefix)`` message always reaches the
-    parent *before* any outcome for that prefix can exist (the donated
-    subspace is resubmitted by the parent itself).  The winner is
-    finalized — and the cancel event raised — only once no outstanding
-    subspace precedes its leaf in serial DFS order, so cancellation can
-    never starve the leaf the serial search would have returned.
-
-    Returns ``(outcomes, errors, steals, snapshots, events)`` — the
-    per-worker stats batch carries the idle-time and queue-wait
-    histograms the old dedicated worker loops recorded.
-    """
-    job = pool.begin_job(state, steal=True,
-                         capture_events=capture_events, context=context)
-    pending = 0
-    outstanding = set()
-    outcomes: List[GapShardOutcome] = []
-    errors: List[BaseException] = []
-    steals = 0
-    winner: Optional[GapShardOutcome] = None
-    final = False
-    try:
-        for prefix in prefixes:
-            job.submit(_gap_shard_run, prefix)
-            pending += 1
-            outstanding.add(tuple(prefix))
-        while pending:
-            kind, task_id, body = job.next_message()
-            if kind == "split":
-                stolen = task_id  # ("split", prefix, None) message
-                pending += 1
-                steals += 1
-                outstanding.add(tuple(stolen))
-                job.submit(_gap_shard_run, stolen)
-                continue
-            pending -= 1
-            if kind == "err":
-                # the donated-prefix set no longer matches the task, so
-                # leave ``outstanding`` alone: ``final`` then stays
-                # False and the error is raised by the caller anyway
-                errors.append(RuntimeError(
-                    f"gap shard task {task_id} failed: {body}"))
-                pool.cancel.set()  # drain the rest fast, raise after
-                continue
-            outcome = body
-            outstanding.discard(tuple(outcome.prefix))
-            outcomes.append(outcome)
-            if outcome.status not in ("diverged", "cancelled", "error"):
-                if winner is None or \
-                        (_dfs_key(outcome.gap_bits),
-                         _dfs_key(outcome.prefix)) < \
-                        (_dfs_key(winner.gap_bits),
-                         _dfs_key(winner.prefix)):
-                    winner = outcome
-            if winner is not None and not final:
-                # final iff no outstanding subspace can still hold a
-                # DFS-earlier leaf; a prefix that orders equal-or-
-                # before the winner leaf blocks (tuple comparison
-                # treats a prefix of the leaf as earlier, which is
-                # conservative and therefore sound)
-                wkey = _dfs_key(winner.gap_bits)
-                if all(_dfs_key(p) > wkey for p in outstanding):
-                    final = True
-                    pool.cancel.set()
-    finally:
-        snapshots, events = job.finish()
-    return outcomes, errors, steals, snapshots, events
-
-
-def shard_gap_search(module, trace, failure, *, shards: int,
-                     max_attempts: int, solver_cache=None,
-                     cache_dir: Optional[str] = None,
-                     steal: bool = True,
-                     incremental: bool = True,
-                     preshard: Optional[List[List[bool]]] = None,
-                     pool: Optional[WorkerPool] = None,
-                     **engine_kwargs):
-    """Gap-recovery search fanned out over ``shards`` worker processes.
-
-    The serial DFS's leaf space is partitioned by decision prefixes;
-    each worker explores a subspace with the same backtracking search,
-    confined by a locked prefix.  ``steal`` (the default) enables the
-    work-stealing scheduler — idle workers split busy siblings'
-    subspaces instead of waiting out a static partition — while
-    ``steal=False`` keeps the static 2^k fan-out.  Either way the
-    winning outcome is the first non-diverged one in serial DFS order —
-    identical to what the serial search returns — and the parent
-    replays its decision vector once, in-process and against
-    ``solver_cache``, to materialize the full
-    :class:`~repro.symex.result.SymexResult`.
-
-    Worker telemetry snapshots are merged via
-    :func:`repro.telemetry.merge_snapshots` and absorbed into the
-    calling registry — counters sum, histogram aggregates fold in with
-    approximate percentiles — so worker metrics (including the
-    coordination-overhead histograms) stay visible in the parent's own
-    final snapshot.  When the parent's sink is live, shard event
-    streams are shipped back and re-emitted verbatim, forming one
-    causally-linked trace across the process boundary.  The parent
-    additionally records steal/cancellation counters and a per-shard
-    attempt histogram (``parallel.shard_subspace_attempts``).
-
-    ``preshard`` is the pipelined loop's pre-computed prefix partition
-    (warmed while waiting on production): when it matches the partition
-    this trace actually needs it is counted as a ``preshard_hit`` —
-    the partition is pure bookkeeping either way, so correctness never
-    depends on the prediction.  ``pool`` overrides the process-wide
-    shared :class:`WorkerPool` (used by the A/B benchmark to price a
-    throwaway per-call pool against the persistent one).
-    """
-    from .symex.gaps import replay_with_gap_recovery
-
-    if shards < 1:
-        raise ValueError(f"shards must be >= 1, got {shards}")
-    if solver_cache is None:
-        solver_cache = SolverCache(
-            persistent=DiskSolverCache(cache_dir) if cache_dir else None)
-    prefixes = (_steal_prefixes if steal else _shard_prefixes)(trace,
-                                                               shards)
-    if preshard is not None and prefixes:
-        telemetry.count("pipeline.preshard_hits" if preshard == prefixes
-                        else "pipeline.preshard_misses")
-    if shards == 1 or not prefixes or in_pool_worker():
-        # no gaps to split on, nothing to parallelize, or already inside
-        # a (daemonic) pool worker that cannot spawn children: serial
-        return replay_with_gap_recovery(module, trace, failure,
-                                        max_attempts=max_attempts,
-                                        solver_cache=solver_cache,
-                                        incremental=incremental,
-                                        **engine_kwargs)
-    tel = telemetry.get()
-    steals = 0
-    capture_events = tel.enabled
-    # per-worker config rides inside the job's generation payload; the
-    # shard body pops what ShepherdedSymex must not see
-    state = dict(module=module, trace=trace, failure=failure,
-                 max_attempts=max_attempts,
-                 engine_kwargs=dict(engine_kwargs,
-                                    incremental=incremental),
-                 cache_dir=cache_dir)
-    with tel.span("symex.gap_shard_search", shards=shards,
-                  tasks=len(prefixes), steal=steal):
-        # captured inside the span: worker root spans parent on it
-        context = tel.trace_context()
-        target = pool if pool is not None else get_pool(shards)
-        if steal:
-            outcomes, errors, steals, snapshots, events = \
-                _steal_shard_outcomes(target, state, prefixes,
-                                      context, capture_events)
-        else:
-            outcomes, errors, snapshots, events = _static_shard_outcomes(
-                target, state, prefixes, context, capture_events)
-    tel.absorb(telemetry.merge_snapshots(snapshots))
-    tel.forward(events)
-    tel.count("parallel.gap_shards", len(outcomes))
-    if steals:
-        tel.count("parallel.steals", steals)
-    cancelled = sum(1 for o in outcomes if o.status == "cancelled")
-    if cancelled:
-        tel.count("parallel.cancelled_shards", cancelled)
-    subspace_hist = tel.histogram("parallel.shard_subspace_attempts")
-    for outcome in outcomes:
-        subspace_hist.record(outcome.gap_attempts)
-    if errors:
-        raise errors[0]
-    failed = [o for o in outcomes if o.status == "error"]
-    if failed:
-        raise RuntimeError(
-            f"gap shard worker failed on prefix {failed[0].prefix}: "
-            f"{failed[0].error}")
-    total_attempts = sum(o.gap_attempts for o in outcomes)
-    chosen = _choose_outcome(outcomes)
-    # replay the chosen decision vector in-process: full result (terms,
-    # constraints, model) without shipping terms across processes
-    with T.term_scope(reuse_active=True):
-        engine = ShepherdedSymex(module, trace, failure,
-                                 gap_decisions=list(chosen.gap_bits),
-                                 solver_cache=solver_cache,
-                                 **engine_kwargs)
-        result = engine.run()
-    result.gap_attempts = total_attempts
-    if result.status != "diverged":
-        telemetry.count("symex.gap_recoveries")
-        tel.histogram("symex.gap_attempts").record(total_attempts)
-        logger.debug("sharded gap recovery converged after %d replays "
-                     "across %d shard tasks (%d stolen)", total_attempts,
-                     len(outcomes), steals)
-    else:
-        telemetry.count("symex.gap_replays")
-        result.divergence_reason += \
-            f" (after {total_attempts} gap assignments)"
-    return result
-
-
 def measure_incremental_ab(workload_name: str = "sqlite-7be932d", *,
                            mapping_loss: float = 0.085,
-                           shards: int = 4,
-                           work_scale: int = 20,
-                           steal: bool = False) -> Dict:
-    """A/B the assumption-stack reuse on the sharded gap-recovery bench.
+                           work_scale: int = 20) -> Dict:
+    """A/B the assumption-stack reuse on the serial gap-recovery search.
 
-    Runs the same degraded trace through :func:`shard_gap_search` twice
-    — ``incremental=False`` (every sibling attempt re-solved from
-    scratch) then ``incremental=True`` (per-shard
+    Runs the same degraded trace through
+    :func:`~repro.symex.gaps.replay_with_gap_recovery` twice —
+    ``incremental=False`` (every sibling attempt re-solved from
+    scratch) then ``incremental=True`` (an
     :class:`~repro.solver.incremental.AssumptionStack`) — each under a
     fresh telemetry registry, and totals the solver work actually
-    charged (the ``solver.work_per_query`` histogram, workers' snapshots
-    folded in).  Returns a JSON-ready dict with both legs and the
-    relative ``solver_work_reduction``; correctness is part of the
-    record (``verdicts_equal``/``models_equal`` — the two legs must
-    agree bit for bit, incrementality is an optimization only).
-
-    ``steal`` defaults *off* here (unlike the production scheduler):
-    work stealing re-splits shard subspaces at timing-dependent points,
-    which perturbs each shard's assumption-stack reuse run to run.  The
-    static prefix fan-out makes both legs fully deterministic, so the
-    measured reduction is reproducible.
+    charged (the ``solver.work_per_query`` histogram).  Returns a
+    JSON-ready dict with both legs and the relative
+    ``solver_work_reduction``; correctness is part of the record
+    (``verdicts_equal``/``models_equal`` — the two legs must agree bit
+    for bit, incrementality is an optimization only).  Both legs are
+    deterministic, so the measured reduction is reproducible.
     """
     from .symex.gaps import replay_with_gap_recovery
 
@@ -1316,8 +768,7 @@ def measure_incremental_ab(workload_name: str = "sqlite-7be932d", *,
     occurrence = ProductionSite(workload.failing_env,
                                 mapping_loss=mapping_loss,
                                 per_cpu_buffers=True).run_once(module)
-    kwargs = dict(work_limit=workload.work_limit * work_scale,
-                  shards=shards, steal=steal)
+    work_limit = workload.work_limit * work_scale
     legs: Dict[str, Dict] = {}
     models: Dict[str, Optional[Dict]] = {}
     statuses: Dict[str, str] = {}
@@ -1327,7 +778,7 @@ def measure_incremental_ab(workload_name: str = "sqlite-7be932d", *,
         with telemetry.scoped(registry):
             result = replay_with_gap_recovery(
                 module, occurrence.trace, occurrence.failure,
-                incremental=incremental, **kwargs)
+                work_limit=work_limit, incremental=incremental)
         wall = time.perf_counter() - started
         snapshot = registry.snapshot()
         work = snapshot.get("histograms", {}).get(
@@ -1352,7 +803,6 @@ def measure_incremental_ab(workload_name: str = "sqlite-7be932d", *,
     return {
         "workload": workload_name,
         "mapping_loss": mapping_loss,
-        "shards": shards,
         "gap_count": gap_count(occurrence.trace),
         "scratch": legs["scratch"],
         "incremental": legs["incremental"],

@@ -16,7 +16,6 @@ import logging
 from typing import List, Optional
 
 from .. import telemetry
-from ..errors import SearchCancelled
 from ..interp.failures import FailureInfo
 from ..ir.module import Module
 from ..solver import terms as T
@@ -31,20 +30,14 @@ logger = logging.getLogger(__name__)
 #: bound on replays (exponential worst case; divergence-guided in practice)
 MAX_GAP_ATTEMPTS = 512
 
-#: re-export: :class:`SearchCancelled` historically lived here; the
-#: portfolio racer shares it now, so the class moved to ``repro.errors``
-__all__ = ["SearchCancelled", "replay_with_gap_recovery",
-           "MAX_GAP_ATTEMPTS"]
+__all__ = ["replay_with_gap_recovery", "MAX_GAP_ATTEMPTS"]
 
 
 def replay_with_gap_recovery(module: Module, trace: DecodedTrace,
                              failure: Optional[FailureInfo],
                              max_attempts: int = MAX_GAP_ATTEMPTS,
-                             shards: int = 1,
                              cache_dir: Optional[str] = None,
-                             steal: bool = True,
                              incremental: bool = True,
-                             preshard=None,
                              **engine_kwargs) -> SymexResult:
     """Shepherd a trace containing :class:`GapEvent`s.
 
@@ -54,20 +47,12 @@ def replay_with_gap_recovery(module: Module, trace: DecodedTrace,
     first non-diverged result, or the last divergence after the search
     is exhausted.
 
-    ``shards > 1`` fans the search out over worker processes (see
-    :func:`repro.parallel.shard_gap_search`): the decision tree is split
-    into prefix subspaces explored concurrently, and the first solution
-    in serial DFS order wins, so the result matches the serial search.
-    ``steal`` selects the work-stealing scheduler (idle workers split a
-    busy sibling's subspace; the default) over the static 2^k prefix
-    fan-out.  ``cache_dir`` points every worker (and the serial search)
-    at a shared persistent solver cache.  ``incremental`` (default on)
-    gives the session an :class:`AssumptionStack`, so sibling attempts'
-    queries along a shared constraint prefix re-solve only the delta;
-    switching it off re-solves every sibling from scratch (the A/B the
-    benchmark harness measures).  ``preshard`` is the pipelined loop's
-    predicted prefix partition, forwarded to the sharded search purely
-    for hit/miss accounting.
+    ``cache_dir`` points the search at a persistent solver cache.
+    ``incremental`` (default on) gives the session an
+    :class:`AssumptionStack`, so sibling attempts' queries along a
+    shared constraint prefix re-solve only the delta; switching it off
+    re-solves every sibling from scratch (the A/B the benchmark harness
+    measures).
     """
     if max_attempts < 1:
         raise ValueError(f"max_attempts must be >= 1, got {max_attempts}")
@@ -79,14 +64,6 @@ def replay_with_gap_recovery(module: Module, trace: DecodedTrace,
         cache = SolverCache(persistent=_open_disk_cache(cache_dir))
     elif cache.persistent is None and cache_dir is not None:
         cache.persistent = _open_disk_cache(cache_dir)
-    if shards > 1:
-        from ..parallel import shard_gap_search  # lazy: avoid import cycle
-        return shard_gap_search(module, trace, failure,
-                                shards=shards, max_attempts=max_attempts,
-                                solver_cache=cache, cache_dir=cache_dir,
-                                steal=steal, incremental=incremental,
-                                preshard=preshard,
-                                **engine_kwargs)
     if incremental and cache.assumptions is None:
         cache.assumptions = AssumptionStack()
     with T.term_scope(reuse_active=True):
@@ -102,40 +79,18 @@ def _open_disk_cache(cache_dir):
 
 
 def _search_gap_decisions(module, trace, failure, max_attempts,
-                          cache, engine_kwargs,
-                          initial_decisions: Optional[List[bool]] = None,
-                          locked_prefix: int = 0,
-                          control=None):
-    """Serial DFS over gap decisions, optionally confined to a subspace.
-
-    ``initial_decisions`` seeds the first replay's decision vector and
-    ``locked_prefix`` freezes its first N bits: backtracking never flips
-    a locked bit, so the search covers exactly the subspace under that
-    prefix — this is the per-shard body of the parallel search.  A
-    divergence *inside* the locked prefix exhausts the subspace
-    immediately (no sibling under this prefix can replay further).
-
-    ``control`` is the work-stealing hook: its
-    ``checkpoint(decisions, locked_prefix, attempts)`` runs before every
-    replay and returns the (possibly extended) locked prefix length —
-    extending it donates the untouched sibling half of the subspace to a
-    thief.  It may raise :class:`SearchCancelled` to stop the shard once
-    the parent has committed a winner in an earlier subspace.
-    """
+                          cache, engine_kwargs):
+    """Serial DFS over gap decisions: the body of the gap search."""
     if max_attempts < 1:
         raise ValueError(f"max_attempts must be >= 1, got {max_attempts}")
-    decisions: List[bool] = list(initial_decisions or [])
+    decisions: List[bool] = []
     last: Optional[SymexResult] = None
     attempts = 0
     while attempts < max_attempts:
-        if control is not None:
-            locked_prefix = control.checkpoint(decisions, locked_prefix,
-                                               attempts)
         if cache.assumptions is not None:
-            # attempt boundary (where steal checkpoints change the
-            # prefix one decision at a time): the stack keeps the
-            # surviving common-prefix frames; the first query of this
-            # replay pops exactly the abandoned sibling's frames
+            # attempt boundary: the stack keeps the surviving
+            # common-prefix frames; the first query of this replay pops
+            # exactly the abandoned sibling's frames
             cache.assumptions.mark_attempt()
         engine = ShepherdedSymex(module, trace, failure,
                                  gap_decisions=decisions,
@@ -155,10 +110,10 @@ def _search_gap_decisions(module, trace, failure, max_attempts,
         last = result
         # the bits consumed up to the divergence are the DFS prefix
         prefix = list(result.gap_bits)
-        while len(prefix) > locked_prefix and prefix[-1] is False:
+        while prefix and prefix[-1] is False:
             prefix.pop()          # False branch exhausted: backtrack
-        if len(prefix) <= locked_prefix:
-            break                 # subspace (or whole space) explored
+        if not prefix:
+            break                 # whole space explored
         prefix[-1] = False        # try the other outcome
         decisions = prefix
     if last is None:

@@ -202,7 +202,7 @@ class Telemetry:
         The handoff span is the innermost span open on the calling
         thread (or this registry's own inherited handoff span when none
         is open); ``wall_origin`` re-expresses the *root* timeline's
-        zero point so chained handoffs (batch → reconstruction → shard)
+        zero point so chained handoffs (batch → worker → reconstruction)
         keep one shared clock.
         """
         stack = self._span_stack()

@@ -7,10 +7,10 @@ https://ui.perfetto.dev open directly:
 * every closed **span** becomes one complete (``"ph": "X"``) event —
   spans are emitted at close carrying their duration, so the start is
   ``ts - dur`` — on the track of the process that ran it (one ``pid``
-  track per worker, which is what makes the schedulers' load balance
+  track per worker, which is what makes the batch's load balance
   visible at a glance);
-* every point **event** (steal tokens served, subspace splits, shard
-  cancellations, solver-cache hits, ring wraps, ...) becomes an instant
+* every point **event** (solver-cache hits, ring wraps, iteration
+  ends, ...) becomes an instant
   (``"ph": "i"``) on its worker's track; and
 * each distinct pid gets a ``process_name`` metadata record.
 

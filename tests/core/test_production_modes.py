@@ -7,6 +7,7 @@ from repro.core.production import ProductionSite
 from repro.core.reconstructor import ExecutionReconstructor
 from repro.errors import ReconstructionError
 from repro.interp.env import Environment
+from repro.workloads import get_workload
 
 
 def failing_factory(occ):
@@ -174,3 +175,67 @@ class TestDeferredBaseException:
         deferred = site.start(abort_module)
         with pytest.raises(RuntimeError, match="env exploded"):
             deferred.wait()
+
+
+class TestDeferredOccurrence:
+    def test_start_delivers_same_occurrence_as_run_once(self):
+        workload = get_workload("objdump-2018-6323")
+        site = ProductionSite(workload.failing_env)
+        deferred = site.start(workload.fresh_module())
+        occurrence = deferred.wait()
+        assert deferred.done()
+        assert deferred.poll() is occurrence
+        assert occurrence.failure is not None
+        assert occurrence.trace.chunks
+
+    def test_only_one_deferred_run_at_a_time(self):
+        workload = get_workload("objdump-2018-6323")
+        site = ProductionSite(workload.failing_env,
+                              reoccurrence_delay=0.5)
+        module = workload.fresh_module()
+        site.start(module)
+        with pytest.raises(ReconstructionError, match="already active"):
+            site.start(module)
+
+    def test_poll_nonblocking_then_result(self):
+        workload = get_workload("objdump-2018-6323")
+        site = ProductionSite(workload.failing_env,
+                              reoccurrence_delay=0.3)
+        deferred = site.start(workload.fresh_module())
+        assert deferred.poll() is None  # still sleeping
+        assert deferred.wait().failure is not None
+
+    def test_background_exception_reraised_on_wait(self):
+        def exploding_env(_):
+            raise RuntimeError("production environment down")
+
+        site = ProductionSite(exploding_env)
+        deferred = site.start(get_workload(
+            "objdump-2018-6323").fresh_module())
+        with pytest.raises(RuntimeError, match="environment down"):
+            deferred.wait()
+
+
+class TestUnrelatedWaitAccounting:
+    def test_unrelated_occurrence_records_wait_seconds(self):
+        # reuse the two-bug module: the unrelated failure's production
+        # wait must land in the dropped-phase histogram
+        from tests.core.test_determinism import _two_bug_module
+        from repro.interp.env import Environment
+
+        def factory(occ):
+            data = b"\xff\x00" if occ == 2 else bytes([9, 9])
+            return Environment({"stdin": data})
+
+        registry = telemetry.Telemetry()
+        with telemetry.scoped(registry):
+            er = ExecutionReconstructor(_two_bug_module(),
+                                        work_limit=100,
+                                        max_occurrences=3)
+            report = er.reconstruct(ProductionSite(factory))
+        assert report.success
+        assert report.unrelated_occurrences == 1
+        snap = registry.snapshot()
+        hist = snap["histograms"].get("reconstruct.unrelated_wait_seconds")
+        assert hist is not None and hist["count"] == 1
+        assert hist["sum"] >= 0.0

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import telemetry
-from repro.errors import UnsatError
+from repro.errors import SolverTimeout, UnsatError
 from repro.solver import AssumptionStack, Retained, Solver, SolverCache
 from repro.solver import terms as T
 from repro.solver.model import input_var_name
@@ -131,6 +131,78 @@ class TestSolverLearning:
         counters = tel.snapshot()["counters"]
         assert counters.get("solver.incremental.skipped_candidates", 0) > 0
         assert counters["solver.incremental.queries"] == 2
+
+
+def _refuted_pair():
+    """v0 in 251..255 and v0 + v1 == 0 with v1 > 250: unsat, refuted
+    candidate by candidate."""
+    return [T.cmp("ugt", _v(0), T.const(250, 8), 8),
+            _eq(T.binop("add", _v(0), _v(1), 8), 0),
+            T.cmp("ugt", _v(1), T.const(250, 8), 8)]
+
+
+def _stacked_solver(work_limit):
+    cache = SolverCache()
+    cache.assumptions = AssumptionStack()
+    return Solver(work_limit=work_limit, cache=cache), cache.assumptions
+
+
+class TestHarvestOnEveryVerdict:
+    """Every search's harvest reaches the stack: a model, an unsat
+    proof and a timed-out search alike."""
+
+    def test_sat_harvest_pushed(self):
+        solver, stack = _stacked_solver(200_000)
+        cs = [T.cmp("ugt", _v(0), T.const(200, 8), 8),
+              _eq(T.binop("xor", _v(0), _v(1), 8), 0xFF)]
+        solver.solve(cs)
+        assert len(stack) == len(cs)
+        assert stack.pushes == 1
+
+    def test_timeout_harvest_pushed(self):
+        solver, stack = _stacked_solver(1_000)
+        cs = _refuted_pair()
+        with pytest.raises(SolverTimeout):
+            solver.solve(cs)
+        assert len(stack) == len(cs)
+        assert stack.conflicts_learned > 0
+
+    def test_retry_after_timeout_skips_refuted_candidates(self, tel):
+        cs = _refuted_pair()
+        solver, stack = _stacked_solver(3_000)
+        with pytest.raises(SolverTimeout):
+            solver.solve(cs)
+        retry = Solver(work_limit=200_000, cache=solver.cache)
+        with pytest.raises(UnsatError):
+            retry.solve(cs)
+        counters = tel.snapshot()["counters"]
+        assert counters["solver.incremental.reused_terms"] == len(cs)
+        assert counters.get("solver.incremental.skipped_candidates", 0) > 0
+
+    @pytest.mark.parametrize("work_limit, verdict, counter, other", [
+        (200_000, UnsatError, "solver.unsat", "solver.timeouts"),
+        (1_000, SolverTimeout, "solver.timeouts", "solver.unsat"),
+    ], ids=["unsat", "timeout"])
+    def test_failed_query_metered_once(self, tel, work_limit, verdict,
+                                       counter, other):
+        solver, _ = _stacked_solver(work_limit)
+        with pytest.raises(verdict):
+            solver.solve(_refuted_pair())
+        counters = tel.snapshot()["counters"]
+        assert counters["solver.queries.solve"] == 1
+        assert counters["solver.incremental.queries"] == 1
+        assert counters["solver.cache.misses"] == 1
+        assert counters[counter] == 1
+        assert other not in counters
+
+    def test_sat_query_metered_once(self, tel):
+        solver, _ = _stacked_solver(200_000)
+        solver.solve([_eq(_v(0), 9)])
+        counters = tel.snapshot()["counters"]
+        assert counters["solver.queries.solve"] == 1
+        assert counters["solver.incremental.queries"] == 1
+        assert "solver.unsat" not in counters
+        assert "solver.timeouts" not in counters
 
 
 # -- the equivalence property -------------------------------------------

@@ -4,12 +4,13 @@ from types import SimpleNamespace
 
 import pytest
 
+from repro import telemetry
 from repro.interp.env import Environment
 from repro.interp.interpreter import Interpreter
 from repro.solver.cache import SolverCache
+from repro.solver.incremental import AssumptionStack
 from repro.symex import gaps
-from repro.symex.gaps import (SearchCancelled, _search_gap_decisions,
-                              replay_with_gap_recovery)
+from repro.symex.gaps import _search_gap_decisions, replay_with_gap_recovery
 from repro.trace.decoder import decode
 from repro.trace.degrade import DEFAULT_LOSS, degrade_trace, gap_count
 from repro.trace.encoder import PTEncoder
@@ -172,81 +173,84 @@ class TestSearchAccounting:
             _search_gap_decisions("m", "t", None, 0, SolverCache(), {})
 
 
-class TestLockedPrefix:
-    """Shard confinement: backtracking never crosses the locked prefix."""
+class _SolvingEngine(_DivergingEngine):
+    """Stub engine that completes once launched with ``solves_at``, and
+    records the solver cache every launch was handed."""
 
-    def test_subspace_fully_explored(self, diverging_engine):
+    solves_at = [False]
+    caches = []
+
+    def __init__(self, module, trace, failure, gap_decisions=(),
+                 solver_cache=None, **kwargs):
+        super().__init__(module, trace, failure, gap_decisions)
+        type(self).caches.append(solver_cache)
+
+    def run(self):
+        if self.decisions == type(self).solves_at:
+            return SimpleNamespace(status="completed", gap_bits=[],
+                                   gap_attempts=1, model=None)
+        return super().run()
+
+
+@pytest.fixture
+def solving_engine(monkeypatch):
+    _SolvingEngine.launches = []
+    _SolvingEngine.caches = []
+    _SolvingEngine.depth = 2
+    _SolvingEngine.solves_at = [False]
+    monkeypatch.setattr(gaps, "ShepherdedSymex", _SolvingEngine)
+    return _SolvingEngine
+
+
+class TestSerialSearch:
+    """One DFS, true-first, over the bits each replay consumed."""
+
+    def test_depth_three_dfs_order(self, diverging_engine):
         diverging_engine.depth = 3
-        result = _search_gap_decisions(
-            "m", "t", None, 512, SolverCache(), {},
-            initial_decisions=[True, False], locked_prefix=2)
-        # only the third bit is searchable: two leaves
-        assert result.gap_attempts == 2
-        assert diverging_engine.launches == \
-            [[True, False], [True, False, False]]
-        for decisions in diverging_engine.launches:
-            assert decisions[:2] == [True, False]
+        result = _search_gap_decisions("m", "t", None, 512,
+                                       SolverCache(), {})
+        assert result.gap_attempts == 8
+        assert diverging_engine.launches == [
+            [], [True, True, False], [True, False], [True, False, False],
+            [False], [False, True, False], [False, False],
+            [False, False, False]]
 
-    def test_divergence_inside_prefix_exhausts(self, diverging_engine):
-        diverging_engine.depth = 1  # diverges before the prefix ends
-        result = _search_gap_decisions(
-            "m", "t", None, 512, SolverCache(), {},
-            initial_decisions=[True, False], locked_prefix=2)
-        assert result.gap_attempts == 1
-        assert diverging_engine.launches == [[True, False]]
+    def test_stops_at_first_completion(self, solving_engine):
+        result = _search_gap_decisions("m", "t", None, 512,
+                                       SolverCache(), {})
+        assert result.status == "completed"
+        assert result.gap_attempts == 3
+        assert solving_engine.launches == [[], [True, False], [False]]
 
-    def test_unlocked_matches_plain_search(self, diverging_engine):
-        plain = _search_gap_decisions("m", "t", None, 512,
-                                      SolverCache(), {})
-        diverging_engine.launches = []
-        seeded = _search_gap_decisions("m", "t", None, 512,
-                                       SolverCache(), {},
-                                       initial_decisions=[],
-                                       locked_prefix=0)
-        assert seeded.gap_attempts == plain.gap_attempts
+    def test_recovery_telemetry(self, solving_engine):
+        registry = telemetry.Telemetry()
+        with telemetry.scoped(registry):
+            _search_gap_decisions("m", "t", None, 512, SolverCache(), {})
+        snapshot = registry.snapshot()
+        assert snapshot["counters"]["symex.gap_replays"] == 2
+        assert snapshot["counters"]["symex.gap_recoveries"] == 1
+        attempts = snapshot["histograms"]["symex.gap_attempts"]
+        assert (attempts["count"], attempts["sum"]) == (1, 3)
 
+    def test_attempts_share_one_cache(self, solving_engine):
+        cache = SolverCache()
+        _search_gap_decisions("m", "t", None, 512, cache, {})
+        assert len(solving_engine.caches) == 3
+        assert all(c is cache for c in solving_engine.caches)
 
-class TestSearchControl:
-    """The work-stealing checkpoint hook (driven by repro.parallel)."""
+    def test_attempt_boundaries_marked_on_the_stack(self,
+                                                    diverging_engine):
+        cache = SolverCache()
+        cache.assumptions = AssumptionStack()
+        result = _search_gap_decisions("m", "t", None, 512, cache, {})
+        assert cache.assumptions.attempts == result.gap_attempts == 4
 
-    def test_checkpoint_runs_before_every_replay(self, diverging_engine):
-        calls = []
-
-        class Recorder:
-            def checkpoint(self, decisions, locked_prefix, attempts):
-                calls.append((list(decisions), locked_prefix, attempts))
-                return locked_prefix
-
-        result = _search_gap_decisions("m", "t", None, 512, SolverCache(),
-                                       {}, control=Recorder())
-        assert len(calls) == result.gap_attempts == 4
-        # attempts counts *completed* replays at each checkpoint
-        assert [c[2] for c in calls] == [0, 1, 2, 3]
-
-    def test_cancel_stops_the_search(self, diverging_engine):
-        class CancelSecond:
-            def checkpoint(self, decisions, locked_prefix, attempts):
-                if attempts >= 1:
-                    raise SearchCancelled(attempts)
-                return locked_prefix
-
-        with pytest.raises(SearchCancelled) as err:
-            _search_gap_decisions("m", "t", None, 512, SolverCache(), {},
-                                  control=CancelSecond())
-        assert err.value.attempts == 1
-        assert len(diverging_engine.launches) == 1
-
-    def test_extended_locked_prefix_confines_backtracking(
-            self, diverging_engine):
-        # a donation (checkpoint returning a longer locked prefix) keeps
-        # the victim out of the donated half for the rest of the search
-        class DonateFirstBit:
-            def checkpoint(self, decisions, locked_prefix, attempts):
-                return max(locked_prefix, 1)
-
-        result = _search_gap_decisions("m", "t", None, 512, SolverCache(),
-                                       {}, control=DonateFirstBit())
-        # bit 0 locked at its default True: only the second bit is
-        # searched, and the donated [False, *] half is never entered
-        assert result.gap_attempts == 2
-        assert diverging_engine.launches == [[], [True, False]]
+    @pytest.mark.parametrize("incremental", [True, False])
+    def test_incremental_switch_sets_up_the_stack(self, solving_engine,
+                                                  incremental):
+        result = replay_with_gap_recovery("m", "t", None,
+                                          incremental=incremental)
+        assert result.status == "completed"
+        stacks = {type(c.assumptions) for c in solving_engine.caches}
+        expected = AssumptionStack if incremental else type(None)
+        assert stacks == {expected}

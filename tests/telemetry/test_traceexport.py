@@ -127,15 +127,15 @@ class TestWriteTrace:
         assert doc["otherData"]["trace_ids"]
 
 
-class TestShardedTraceEndToEnd:
-    """The acceptance scenario: a sharded steal run's exported trace."""
+class TestBatchTraceEndToEnd:
+    """The acceptance scenario: a parallel batch run's exported trace."""
 
-    def test_steal_run_trace_schema_and_linkage(self, tmp_path, capsys):
+    def test_batch_run_trace_schema_and_linkage(self, tmp_path, capsys):
         from repro.cli import main
 
         trace_path = tmp_path / "trace.json"
-        assert main(["reproduce", "objdump-2018-6323",
-                     "--mapping-loss", "0.085", "--shards", "2",
+        assert main(["bench", "objdump-2018-6323", "matrixssl-2014-1569",
+                     "--parallel", "2",
                      "--trace-out", str(trace_path)]) == 0
         capsys.readouterr()
         doc = json.loads(trace_path.read_text())
@@ -147,23 +147,20 @@ class TestShardedTraceEndToEnd:
         metas = {r["pid"] for r in doc["traceEvents"] if r["ph"] == "M"}
         assert pids <= metas             # every worker has a named track
 
-        # every span shares the reconstruction's trace id
+        # every span shares the batch's trace id
         trace_ids = {r["args"]["trace_id"] for r in xs
                      if "trace_id" in r.get("args", {})}
         assert len(trace_ids) == 1
 
-        # shard spans link to a parent span from ANOTHER process
+        # worker reconstructions link to the parent's batch span
         by_id = {r["args"]["span_id"]: r for r in xs
                  if "span_id" in r.get("args", {})}
-        cross = [r for r in xs
-                 if r.get("args", {}).get("parent_id") in by_id
-                 and by_id[r["args"]["parent_id"]]["pid"] != r["pid"]]
-        assert cross, "no span linked across the process boundary"
-        shard_spans = [r for r in xs if r["name"] == "parallel.shard_search"]
-        assert shard_spans
-        for r in shard_spans:
+        linked = [r for r in xs if r["name"] == "reconstruct.run"
+                  and r.get("args", {}).get("parent_id") in by_id
+                  and by_id[r["args"]["parent_id"]]["pid"] != r["pid"]]
+        assert linked, "no span linked across the process boundary"
+        for r in linked:
             parent = by_id[r["args"]["parent_id"]]
-            assert parent["name"] == "symex.gap_shard_search"
-            assert parent["pid"] != r["pid"]
-            # aligned clocks: the shard span starts after its parent
+            assert parent["name"] == "parallel.batch"
+            # aligned clocks: the worker span starts after its parent
             assert r["ts"] >= parent["ts"]

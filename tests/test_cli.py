@@ -290,11 +290,10 @@ class TestServe:
     def test_serve_writes_summary_artifact(self, capsys, tmp_path):
         out = tmp_path / "BENCH_serve.json"
         assert main(["serve", "sqlite-7be932d", "--instances", "2",
-                     "--parallel", "2", "--pipeline",
+                     "--parallel", "2",
                      "-o", str(out)]) == 0
         data = json.loads(out.read_text())
         assert data["instances"] == 2
-        assert data["pipeline"] is True
         assert data["buckets"][0]["signature"]["digest"]
         assert "telemetry" in data
         assert data["telemetry"]["counters"]["serve.reports"] >= 2
@@ -312,12 +311,12 @@ class TestServe:
         assert main(["serve", "no-such-bug"]) == 2
 
 
-class TestReproduceSharded:
-    """`reproduce --shards/--cache-dir/--mapping-loss` end to end."""
+class TestReproduceRecovery:
+    """`reproduce --cache-dir/--mapping-loss` end to end."""
 
-    def test_mapping_loss_with_shards(self, capsys):
+    def test_mapping_loss(self, capsys):
         assert main(["reproduce", "objdump-2018-6323",
-                     "--mapping-loss", "0.085", "--shards", "2"]) == 0
+                     "--mapping-loss", "0.085"]) == 0
         assert "succeeded" in capsys.readouterr().out
 
     def test_cache_dir_second_run_hits(self, capsys, tmp_path):
@@ -340,6 +339,34 @@ class TestReproduceSharded:
         assert rate(warm) > rate(cold)
         assert warm["telemetry"]["counters"].get(
             "solver.cache.disk_hits", 0) >= 1
+
+
+class TestOneConfiguration:
+    """Reconstruction has one search strategy, one sequential loop and
+    one serial gap search: the CLI offers no flag to pick another."""
+
+    @pytest.mark.parametrize("command, flag, value", [
+        ("reproduce", "--shards", "2"),
+        ("reproduce", "--steal", None),
+        ("reproduce", "--portfolio", "2"),
+        ("reproduce", "--pipeline", None),
+        ("reproduce", "--reoccurrence-delay", "0.2"),
+        ("bench", "--portfolio", "2"),
+        ("bench", "--pipeline", None),
+        ("bench", "--reoccurrence-delay", "0.2"),
+        ("serve", "--pipeline", None),
+    ])
+    def test_flag_not_offered(self, capsys, command, flag, value):
+        with pytest.raises(SystemExit) as help_exit:
+            main([command, "--help"])
+        assert help_exit.value.code == 0
+        assert flag not in capsys.readouterr().out
+        argv = [command, "objdump-2018-6323", flag]
+        with pytest.raises(SystemExit) as err:
+            main(argv + ([value] if value is not None else []))
+        assert err.value.code == 2
+        assert f"unrecognized arguments: {flag}" in \
+            capsys.readouterr().err
 
 
 class TestCacheCommand:

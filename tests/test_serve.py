@@ -25,11 +25,11 @@ from repro.workloads.registry import get_workload
 WORKLOAD = "sqlite-7be932d"
 
 
-def _single_site(name, *, pipeline=False):
+def _single_site(name):
     w = get_workload(name)
     reconstructor = ExecutionReconstructor(
         w.fresh_module(), work_limit=w.work_limit,
-        max_occurrences=w.max_occurrences, pipeline=pipeline)
+        max_occurrences=w.max_occurrences)
     return reconstructor.reconstruct(ProductionSite(w.failing_env))
 
 
@@ -158,12 +158,6 @@ class TestFleetService:
             assert bucket.streams == expected
             assert bucket.iterations == len(single.iterations)
             assert bucket.verified == single.verified
-
-    def test_pipeline_mode_byte_identical(self):
-        single = _single_site(WORKLOAD, pipeline=True)
-        summary = FleetService([WORKLOAD], instances=2,
-                               pipeline=True).run()
-        assert summary.buckets[0].streams == _streams(single)
 
     def test_deterministic_across_runs(self):
         first = FleetService([WORKLOAD], instances=3).run()
