@@ -3,7 +3,7 @@
 from .constraint_graph import ConstraintGraph, WriteChain
 from .instrument import InstrumentationResult, instrument
 from .minimize import ddmin, minimize_test_case
-from .production import DeferredOccurrence, Occurrence, ProductionSite
+from .production import Occurrence, ProductionSite
 from .reconstructor import ExecutionReconstructor
 from .report import IterationRecord, ReconstructionReport, TestCase
 from .selection import RecordingItem, RecordingPlan, select_key_values
@@ -17,7 +17,6 @@ __all__ = [
     "instrument",
     "ddmin",
     "minimize_test_case",
-    "DeferredOccurrence",
     "Occurrence",
     "ProductionSite",
     "ExecutionReconstructor",

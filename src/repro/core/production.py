@@ -15,10 +15,9 @@ deployment.
 from __future__ import annotations
 
 import logging
-import threading
 import time
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 from .. import telemetry
 from ..errors import ReconstructionError, TraceTruncatedError
@@ -44,74 +43,6 @@ class Occurrence:
     trace: DecodedTrace
     trace_bytes: int
     run: RunResult  # available to evaluation harnesses, not to ER's core
-
-
-class DeferredOccurrence:
-    """Handle to a production run executing on a background thread.
-
-    A fleet instance (:mod:`repro.serve`) starts the wait for the next
-    failure reoccurrence and collects it with :meth:`wait`; :meth:`poll`
-    checks without blocking.  The thread runs the *same*
-    :meth:`ProductionSite.run_once` body against the process-global
-    telemetry registry (span stacks are thread-local, so concurrent
-    production spans cannot corrupt the analysis side's nesting), which
-    keeps production counters and spans identical to the sequential
-    path.  Exceptions are captured and re-raised on the consuming
-    thread at :meth:`poll`/:meth:`wait` time.
-    """
-
-    def __init__(self, site: "ProductionSite", module: Module):
-        self._result: Optional[Occurrence] = None
-        self._error: Optional[Exception] = None
-        self._delivered = False
-        self._thread = threading.Thread(
-            target=self._run, args=(site, module),
-            name="repro-production", daemon=True)
-        self._thread.start()
-
-    def _run(self, site: "ProductionSite", module: Module) -> None:
-        # Exception only: KeyboardInterrupt/SystemExit on the daemon
-        # thread must propagate (interpreter shutdown), not be stashed
-        # and re-raised later at an arbitrary poll() call site
-        try:
-            self._result = site.run_once(module)
-        except Exception as exc:  # noqa: BLE001 — re-raised on poll
-            self._error = exc
-
-    def done(self) -> bool:
-        return not self._thread.is_alive()
-
-    def unraised_error(self) -> Optional[Exception]:
-        """The captured run exception, if it finished with one that no
-        ``poll``/``wait`` caller has consumed yet."""
-        if self._delivered or self._thread.is_alive():
-            return None
-        return self._error
-
-    def poll(self) -> Optional[Occurrence]:
-        """The occurrence if the production run has finished, else
-        ``None`` (non-blocking); re-raises a failed run's exception."""
-        if self._thread.is_alive():
-            return None
-        return self._finish()
-
-    def wait(self) -> Occurrence:
-        """Block until the production run finishes."""
-        self._thread.join()
-        return self._finish()
-
-    def _finish(self) -> Occurrence:
-        self._thread.join()
-        self._delivered = True
-        if self._error is not None:
-            raise self._error
-        if self._result is None:
-            # the thread died without setting either field — a
-            # BaseException (interpreter shutdown, interrupt) tore it
-            # down; there is no occurrence to deliver
-            raise ReconstructionError(
-                "deferred production run terminated without a result")
-        return self._result
 
 
 class ProductionSite:
@@ -151,35 +82,9 @@ class ProductionSite:
         self.reoccurrence_delay = reoccurrence_delay
         self._occurrence = 0
         self._untraced_failures = 0
-        self._deferred: Optional[DeferredOccurrence] = None
         #: ring-buffer wraps observed and capacity doublings performed
         self.ring_wraps = 0
         self.auto_grows = 0
-
-    def start(self, module: Module) -> DeferredOccurrence:
-        """Begin waiting for the next occurrence without blocking.
-
-        Non-blocking counterpart of :meth:`run_once`: the production
-        wait runs on a background thread while the caller does other
-        work.  Only one deferred run may be active at a
-        time — ``run_once`` mutates per-site state (occurrence index,
-        ring capacity) that must not race.
-        """
-        if self._deferred is not None:
-            if not self._deferred.done():
-                raise ReconstructionError(
-                    "a deferred production run is already active")
-            stale = self._deferred.unraised_error()
-            if stale is not None:
-                # the previous run finished with an error nobody
-                # polled; silently replacing the handle would discard
-                # it — surface the failure before starting a new run
-                logger.error("previous deferred production run failed "
-                             "unobserved: %s", stale)
-                self._deferred = None
-                raise stale
-        self._deferred = DeferredOccurrence(self, module)
-        return self._deferred
 
     def run_once(self, module: Module) -> Occurrence:
         """Run the deployed module until it fails; ship the trace."""

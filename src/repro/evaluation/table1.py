@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import Dict, List, Optional, Tuple
 
+from .. import telemetry
 from ..core import ExecutionReconstructor, ProductionSite
 from ..core.report import ReconstructionReport
 from ..workloads import Workload, all_workloads
@@ -113,60 +114,49 @@ def run_workload(workload: Workload) -> Table1Row:
     )
 
 
-def _run_workload_row(name: str) -> Table1Row:
+def _run_workload_row(name: str,
+                      context: Optional[telemetry.TraceContext] = None
+                      ) -> Tuple[Table1Row, Dict]:
     """Pool-worker body: reconstruct one workload by name.
 
+    Runs under a registry of its own, joined to the caller's trace, and
+    returns its snapshot with the row so the caller can absorb it.
     Drops the full report before crossing the process boundary — the
     table only needs the scalar columns, and the report holds module and
     test-case objects that are expensive (and needless) to pickle.
     """
     from ..workloads import get_workload
 
-    row = run_workload(get_workload(name))
+    registry = telemetry.Telemetry(context=context)
+    with telemetry.scoped(registry):
+        row = run_workload(get_workload(name))
     row.report = None
-    return row
+    return row, registry.snapshot()
 
 
 def run_table1(names: Optional[List[str]] = None,
                parallel: int = 1) -> Table1Result:
     """Regenerate Table 1 (optionally for a subset of workloads).
 
-    ``parallel > 1`` fans the workloads out over a process pool; rows
-    come back in registry order either way, but pooled rows carry no
-    ``report`` (see :func:`_run_workload_row`).
+    ``parallel > 1`` fans the workloads out over the shared process pool
+    (:func:`repro.parallel.get_pool`), and folds each worker's telemetry
+    into the caller's registry; rows come back in registry order either
+    way, but pooled rows carry no ``report`` (see
+    :func:`_run_workload_row`).
     """
     selected = [w for w in all_workloads()
                 if names is None or w.name in names]
     if parallel > 1 and len(selected) > 1:
-        # the shared persistent pool (repro.parallel): repeated table
-        # regenerations reuse already-spawned workers, and worker
-        # telemetry folds into the caller's registry instead of being
-        # dropped on the executor floor
-        from .. import telemetry
         from ..parallel import get_pool
 
         tel = telemetry.get()
-        pool = get_pool(min(parallel, len(selected)))
-        job = pool.begin_job(context=tel.trace_context())
-        rows_by_task: dict = {}
-        errors: List[BaseException] = []
-        try:
-            for workload in selected:
-                job.submit(_run_workload_row, workload.name)
-            for _ in selected:
-                kind, task_id, body = job.next_message()
-                if kind == "err":
-                    errors.append(RuntimeError(
-                        f"table-1 row for "
-                        f"{selected[task_id].name!r} failed: {body}"))
-                    continue
-                rows_by_task[task_id] = body
-        finally:
-            snapshots, _ = job.finish()
-            tel.absorb(telemetry.merge_snapshots(snapshots))
-        if errors:
-            raise errors[0]
-        rows = [rows_by_task[i] for i in range(len(selected))]
+        context = tel.trace_context()
+        outcomes = get_pool(min(parallel, len(selected))).run(
+            [(_run_workload_row, (workload.name, context))
+             for workload in selected])
+        tel.absorb(telemetry.merge_snapshots(
+            [snapshot for _, snapshot in outcomes]))
+        rows = [row for row, _ in outcomes]
     else:
         rows = [run_workload(workload) for workload in selected]
     return Table1Result(rows)

@@ -2,19 +2,16 @@
 
 Reconstructions of distinct failures are embarrassingly parallel — each
 one owns its module clone, production site, term space, and solver
-cache — so the batch runner fans workloads out over a persistent
+cache — so the batch runner fans workloads out over a
 :class:`WorkerPool`.  Process (not thread) workers sidestep the GIL:
 shepherded symbolic execution is pure Python and CPU-bound.
 
-The pool is fork-server-style and process-wide: spawned lazily on the
-first job, then *reused* across batch runs (and the Table-1 harness)
-instead of paying a fresh spin-up per call.  Jobs are generation-tagged
-— each :meth:`WorkerPool.begin_job` broadcasts a new generation through
-per-worker control queues, so starting a job is a message, not a
-respawn.  Workers batch their telemetry: one stats message per job per
-worker instead of a snapshot per task.  Idle pools reap their workers
-after :data:`POOL_IDLE_REAP_SECONDS`; :func:`close_pool` (also
-registered atexit) tears the shared pool down explicitly.
+The pool is one process-wide ``concurrent.futures.ProcessPoolExecutor``,
+created lazily on the first job and *reused* across batch runs (and the
+Table-1 harness) instead of paying a fresh spin-up per call.
+:meth:`WorkerPool.run` submits a list of calls and returns their
+results in input order.  :func:`close_pool` (also registered atexit)
+tears the shared pool down explicitly.
 
 Every worker runs under its own telemetry registry and ships back a
 picklable :class:`BatchItem` — outcome summary, metric snapshot, and
@@ -34,11 +31,11 @@ registry joins the parent's trace (same ``trace_id``, root spans
 parented on the handoff span) and rebases its clock onto the parent
 timeline — so a merged event stream renders as one causally-linked
 tree in the Perfetto exporter.  The pool also meters its own
-coordination overhead: ``parallel.queue_wait_seconds`` (task enqueue →
-dequeue, shared wall clock), ``parallel.worker_idle_seconds`` (workers
-blocked on an empty task queue), and ``parallel.pool_spinup`` /
-``pool_teardown`` spans — surfaced by ``repro stats`` as the
-overhead-attribution table.
+coordination overhead from per-task wall-clock stamps:
+``parallel.queue_wait_seconds`` (submit → start in the worker),
+``parallel.worker_idle_seconds`` (gaps between consecutive tasks on one
+worker), and ``parallel.pool_spinup`` / ``pool_teardown`` spans —
+surfaced by ``repro stats`` as the overhead-attribution table.
 """
 
 from __future__ import annotations
@@ -46,25 +43,25 @@ from __future__ import annotations
 import atexit
 import json
 import logging
-import multiprocessing
 import os
 import pathlib
 import time
 import traceback
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from queue import Empty
-from typing import Any, Callable, Dict, Iterator, List, Optional, \
-    Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Any, Callable, Dict, Iterable, List, \
+    Optional, Sequence, Tuple, Union
 
 from . import telemetry
 from .core import ExecutionReconstructor, ProductionSite
 from .trace.degrade import gap_count
 from .workloads import get_workload, workload_names
 
+if TYPE_CHECKING:
+    from concurrent.futures import ProcessPoolExecutor
+
 __all__ = ["BatchItem", "BatchResult", "WorkerPool", "close_pool",
            "get_pool", "in_pool_worker", "measure_incremental_ab",
-           "private_pool", "run_batch", "write_merged_jsonl"]
+           "run_batch", "write_merged_jsonl"]
 
 logger = logging.getLogger(__name__)
 
@@ -219,8 +216,7 @@ def _reconstruct_one(name: str, capture_events: bool,
                 report.total_symex_modelled_seconds
             item.recorded_bytes = report.total_recorded_bytes
         except Exception as exc:  # noqa: BLE001 — report, don't kill batch
-            item.error = "".join(traceback.format_exception_only(
-                type(exc), exc)).strip()
+            item.error = _error_text(exc)
         if capture_events:
             registry.emit_snapshot()
     item.wall_seconds = time.perf_counter() - started
@@ -251,51 +247,29 @@ def run_batch(names: Optional[Sequence[str]] = None, *,
     if parallel < 1:
         raise ValueError(f"parallel must be >= 1, got {parallel}")
     tel = telemetry.get()
-    # pool lifecycle costs live on a scratch registry so they can join
-    # the *merged* snapshot (the parent's own registry is not part of
-    # the per-item merge); a reused pool records nothing here — that is
-    # the amortization the A/B benchmark measures
-    overhead = telemetry.Telemetry()
     started = time.perf_counter()
     with tel.span("parallel.batch", workloads=len(names),
                   parallel=parallel):
         context = tel.trace_context()
+        # pool overhead (spin-up, queue wait, worker idle) is metered on
+        # a registry of its own so it joins the *merged* snapshot (the
+        # parent's registry is not part of the per-item merge); it
+        # shares the parent's sink and trace, so the spin-up span still
+        # shows in a live trace.  A reused pool records no spin-up —
+        # the amortization the benchmark checks.
+        overhead = telemetry.Telemetry(tel.sink, context=context)
         if parallel == 1 or len(names) <= 1:
             items = [_reconstruct_one(name, capture_events, cache_dir,
                                       context)
                      for name in names]
         else:
-            workers = min(parallel, len(names))
-            target = pool if pool is not None else get_pool(workers)
-            # the job-level registry carries queue-wait/idle metering;
-            # item event streams ride the BatchItem itself
-            job = target.begin_job(capture_events=False, context=context)
-            if job.spinup_seconds:
-                overhead.histogram("span.parallel.pool_spinup").record(
-                    job.spinup_seconds)
-            results: Dict[int, BatchItem] = {}
-            errors: List[BaseException] = []
-            try:
-                for name in names:
-                    job.submit(_reconstruct_one, name, capture_events,
-                               cache_dir, context)
-                for _ in names:
-                    kind, task_id, body = job.next_message()
-                    if kind == "err":
-                        errors.append(RuntimeError(
-                            f"batch task for workload "
-                            f"{names[task_id]!r} failed: {body}"))
-                        continue
-                    results[task_id] = body
-            finally:
-                snapshots, _ = job.finish()
-                for snapshot in snapshots:
-                    overhead.absorb(snapshot)
-                if pool is None:
-                    target.maybe_reap()
-            if errors:
-                raise errors[0]
-            items = [results[index] for index in range(len(names))]
+            target = pool if pool is not None else get_pool(
+                min(parallel, len(names)))
+            with telemetry.scoped(overhead):
+                items = target.run([
+                    (_reconstruct_one,
+                     (name, capture_events, cache_dir, context))
+                    for name in names])
     wall = time.perf_counter() - started
     merged = telemetry.merge_snapshots(
         [item.telemetry for item in items] + [overhead.snapshot()])
@@ -343,105 +317,55 @@ def write_merged_jsonl(result: BatchResult,
     return lines + 1
 
 
-#: how long an idle worker waits on the task queue before rechecking its
-#: control queue, and how long the parent waits on the results queue
-#: before health-checking its workers
-_WORKER_POLL = 0.05
-_PARENT_POLL = 0.1
+def _init_pool_worker() -> None:
+    """Executor initializer: mark the process as a pool worker.
 
-#: a pool whose last job ended this long ago reaps its workers on the
-#: next :meth:`WorkerPool.maybe_reap` touch (``None`` disables)
-POOL_IDLE_REAP_SECONDS = 300.0
-
-#: how long :meth:`_PoolJob.finish` waits for per-worker stats replies
-_STATS_DEADLINE = 30.0
-
-
-def _pool_worker_main(slot: int, control_q, task_q, results_q) -> None:
-    """Persistent worker main loop: generations of tasks, one process.
-
-    The worker alternates between its private control queue (generation
-    payloads, end-of-job markers, stop) and the shared task queue.  A
-    ``("gen", id, payload)`` message opens a fresh per-job telemetry
-    registry joined to the parent's
-    trace; every task of that generation runs scoped to it.  A task
-    tagged with a *newer* generation than the worker has seen makes the
-    worker block on its control queue — the parent always broadcasts
-    the payload before enqueueing the generation's tasks, so the
-    message is already in flight.  ``("end", id)`` ships the job's
-    telemetry back as a single batched ``("stats", ...)`` message (one
-    per job per worker, not one per task).
-
-    Idle stretches and task queue-wait land in the job registry.  Task
-    exceptions are shipped as ``("err", ...)``
-    messages — the worker itself never dies on a task failure.
+    It also gives the worker a registry of its own: a forked worker
+    inherits the parent's, whose sink may be an open ``--telemetry``
+    file.
     """
     global _IN_POOL_WORKER
     _IN_POOL_WORKER = True
-    gen = 0
-    job: Optional[Dict] = None
-    idle_since: Optional[float] = None
+    telemetry.set_current(telemetry.Telemetry())
 
-    def apply(message) -> bool:
-        nonlocal gen, job, idle_since
-        kind = message[0]
-        if kind == "gen":
-            _, new_gen, payload = message
-            gen = new_gen
-            idle_since = None
-            sink = (telemetry.MemorySink()
-                    if payload["capture_events"] else None)
-            registry = telemetry.Telemetry(sink,
-                                           context=payload["context"])
-            job = {"registry": registry, "sink": sink}
-            return True
-        if kind == "end":
-            _, end_gen = message
-            if job is not None:
-                events = job["sink"].events if job["sink"] else []
-                results_q.put(("stats", end_gen, slot,
-                               job["registry"].snapshot(), events))
-            job = None
-            return True
-        return False  # "stop"
 
-    while True:
-        try:
-            message = control_q.get_nowait()
-        except Empty:
-            message = None
-        if message is not None:
-            if not apply(message):
-                return
-            continue
-        try:
-            task = task_q.get(timeout=_WORKER_POLL)
-        except Empty:
-            if job is not None and idle_since is None:
-                idle_since = time.perf_counter()
-            continue
-        task_id, task_gen, func, args, enqueued = task
-        while task_gen > gen:
-            # the payload for this task's generation precedes it in the
-            # parent's send order; block on the control queue for it
-            if not apply(control_q.get()):
-                return
-        if task_gen < gen or job is None:
-            continue  # stale task from an ended generation
-        registry = job["registry"]
-        if idle_since is not None:
-            registry.histogram("parallel.worker_idle_seconds").record(
-                time.perf_counter() - idle_since)
-            idle_since = None
-        registry.histogram("parallel.queue_wait_seconds").record(
-            max(time.time() - enqueued, 0.0))
-        try:
-            with telemetry.scoped(registry):
-                result = func(*args)
-            results_q.put(("done", task_id, task_gen, result))
-        except Exception as exc:  # noqa: BLE001 — ship back, stay alive
-            results_q.put(("err", task_id, task_gen, "".join(
-                traceback.format_exception_only(type(exc), exc)).strip()))
+def _pool_task(func: Callable, args: tuple
+               ) -> Tuple[int, float, float, Any, Optional[str]]:
+    """Worker-side wrapper: run one call and stamp it.
+
+    Returns ``(pid, started, finished, result, error)`` with wall-clock
+    stamps; an exception comes back as ``error`` text, so the worker
+    (and the executor) survive it.
+    """
+    started = time.time()
+    try:
+        result, error = func(*args), None
+    except Exception as exc:  # noqa: BLE001 — shipped back as text
+        result, error = None, _error_text(exc)
+    return os.getpid(), started, time.time(), result, error
+
+
+def _error_text(exc: BaseException) -> str:
+    return "".join(traceback.format_exception_only(type(exc), exc)).strip()
+
+
+def _worker_idle_gaps(stamps: Iterable[Tuple[int, float, float]]
+                      ) -> List[float]:
+    """Idle time between consecutive tasks on each worker.
+
+    ``stamps`` holds one ``(pid, started, finished)`` triple per task;
+    each worker's tasks are ordered by start and every gap from one
+    task's end to the next one's start is returned (clamped at zero).
+    """
+    by_pid: Dict[int, List[Tuple[float, float]]] = {}
+    for pid, started, finished in stamps:
+        by_pid.setdefault(pid, []).append((started, finished))
+    gaps: List[float] = []
+    for runs in by_pid.values():
+        runs.sort()
+        for (_, previous_end), (started, _) in zip(runs, runs[1:]):
+            gaps.append(max(started - previous_end, 0.0))
+    return gaps
 
 
 #: set in pool worker processes: they must not spawn nested pools
@@ -449,276 +373,136 @@ _IN_POOL_WORKER = False
 
 
 def in_pool_worker() -> bool:
-    """True inside a pool worker (or any daemonic child) — callers use
-    this to fall back to serial/inline paths instead of nesting pools."""
-    return _IN_POOL_WORKER or multiprocessing.current_process().daemon
-
-
-class _PoolJob:
-    """One generation of tasks on a :class:`WorkerPool`.
-
-    Created by :meth:`WorkerPool.begin_job`; the caller submits tasks,
-    consumes exactly one message per task via :meth:`next_message`,
-    then calls :meth:`finish` to collect the per-worker telemetry batch.
-    """
-
-    def __init__(self, pool: "WorkerPool", gen: int,
-                 spinup_seconds: float):
-        self.pool = pool
-        self.gen = gen
-        #: wall cost of the worker spawn this job triggered (0.0 when
-        #: the job reused live workers — the whole point of the pool)
-        self.spinup_seconds = spinup_seconds
-        self.submitted = 0
-        self._finished = False
-        self._snapshots: List[Dict] = []
-        self._events: List[Dict] = []
-
-    def submit(self, func: Callable, *args) -> int:
-        task_id = self.submitted
-        self.submitted += 1
-        telemetry.count("parallel.pool.tasks")
-        self.pool._task_q.put((task_id, self.gen, func, args,
-                               time.time()))
-        return task_id
-
-    def next_message(self) -> Tuple[str, Any, Any]:
-        """Next ``("done", task_id, result)`` or ``("err", task_id, msg)``
-        message; health-checks worker processes while the results queue
-        is quiet."""
-        pool = self.pool
-        while True:
-            try:
-                message = pool._results_q.get(timeout=_PARENT_POLL)
-            except Empty:
-                for proc in pool._procs:
-                    if not proc.is_alive():
-                        raise RuntimeError(
-                            f"pool worker pid {proc.pid} died (exit "
-                            f"code {proc.exitcode}) mid-job")
-                continue
-            kind = message[0]
-            if kind in ("done", "err"):
-                _, task_id, gen, body = message
-                if gen != self.gen:
-                    continue  # leftover from an abandoned generation
-                return (kind, task_id, body)
-            # stray "stats" from a prior job's late worker: drop
-
-    def finish(self) -> Tuple[List[Dict], List[Dict]]:
-        """End the generation; collect each worker's batched stats.
-
-        The caller must have consumed all its task outcomes first (the
-        workers only see the ``end`` marker once they drain back to the
-        control queue).  Returns ``(snapshots, events)`` — one metric
-        snapshot per worker plus their buffered event streams.
-        """
-        if self._finished:
-            return self._snapshots, self._events
-        pool = self.pool
-        for control in pool._controls:
-            control.put(("end", self.gen))
-        remaining = set(range(len(pool._procs)))
-        deadline = time.monotonic() + _STATS_DEADLINE
-        while remaining and time.monotonic() < deadline:
-            try:
-                message = pool._results_q.get(timeout=_PARENT_POLL)
-            except Empty:
-                for slot in list(remaining):
-                    if not pool._procs[slot].is_alive():
-                        remaining.discard(slot)  # crashed: no stats
-                continue
-            if message[0] == "stats":
-                _, gen, slot, snapshot, events = message
-                if gen != self.gen:
-                    continue
-                remaining.discard(slot)
-                self._snapshots.append(snapshot)
-                self._events.extend(events)
-        pool._active_job = None
-        pool._last_used = time.monotonic()
-        self._finished = True
-        return self._snapshots, self._events
+    """True inside a pool worker — callers use this to fall back to
+    serial/inline paths instead of nesting pools."""
+    return _IN_POOL_WORKER
 
 
 class WorkerPool:
-    """A persistent, generation-tagged pool of fork-server workers.
+    """A ``workers``-wide process pool that runs one job at a time.
 
-    Spawned lazily on the first job and reused across batches — starting
-    a job is a generation message on each worker's control queue, not a
-    process respawn.  All queues are created before the workers so
-    multiprocessing's inheritance path (not task pickling) carries
-    them.  One job runs at a time; concurrency comes
-    from the workers, not from overlapping jobs.
+    The executor is created on the first :meth:`run` and reused by
+    every later one, so repeated batches pay one spin-up.  A worker
+    that dies breaks the executor; the pool discards it and the next
+    :meth:`run` makes a fresh one.
     """
 
-    def __init__(self, workers: int, *,
-                 idle_reap_seconds: Optional[float] =
-                 POOL_IDLE_REAP_SECONDS):
+    def __init__(self, workers: int):
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
         self.workers = workers
-        self.idle_reap_seconds = idle_reap_seconds
         self.closed = False
         #: lifetime counters (also mirrored into telemetry)
         self.spinups = 0
         self.jobs = 0
-        self._ctx = multiprocessing.get_context()
-        self._task_q = self._ctx.Queue()
-        self._results_q = self._ctx.Queue()
-        self._procs: List = []
-        self._controls: List = []
-        self._gen = 0
-        self._active_job: Optional[_PoolJob] = None
-        self._last_used = time.monotonic()
-
-    @property
-    def alive(self) -> bool:
-        return bool(self._procs) and all(p.is_alive()
-                                         for p in self._procs)
+        self._executor: Optional[ProcessPoolExecutor] = None
 
     def pids(self) -> List[int]:
-        return [proc.pid for proc in self._procs]
+        """The live worker pids (empty before the first job)."""
+        # the executor has no public view of its workers; its
+        # ``_processes`` dict (pid -> Process) is it.  Peak-RSS probes
+        # sum these workers' memory, so an empty list would under-report.
+        processes = (self._executor._processes
+                     if self._executor is not None else None)
+        return list(processes or ())
 
-    def grow(self, workers: int) -> None:
-        """Raise the pool width (never shrinks); live pools spawn the
-        extra workers immediately so the next job sees them."""
-        if workers > self.workers:
-            self.workers = workers
-            if self._procs:
-                self._spawn_missing()
+    def run(self, calls: Sequence[Tuple[Callable, tuple]]) -> List[Any]:
+        """Run ``(func, args)`` calls on the workers; results in input
+        order.
 
-    def ensure_workers(self) -> float:
-        """Spawn (or respawn after a crash/reap) the worker processes.
-
-        Returns the spin-up wall cost, 0.0 when live workers were
-        reused.  The spin-up span lands on the ambient registry, so
-        ``span.parallel.pool_spinup`` feeds the overhead-attribution
-        table — at most once per pool lifetime, not once per batch.
+        A call that raises fails the job with a ``RuntimeError`` carrying
+        its exception text, once every call has finished; the workers
+        live on.  A worker that dies mid-job also raises
+        ``RuntimeError``, and the broken executor is discarded.  Meters
+        spin-up, queue wait and worker idle time into the current
+        registry.
         """
+        # imported here: most importers of this module never start a
+        # pool, and the executor's imports cost them start-up time
+        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
+
         if self.closed:
             raise RuntimeError("worker pool is closed")
-        if self.alive and len(self._procs) >= self.workers:
-            return 0.0
-        if self._procs and not self.alive:
-            self._stop_workers()  # a crashed worker poisons the pool
+        if not calls:
+            return []
         tel = telemetry.get()
-        with tel.span("parallel.pool_spinup",
-                      workers=self.workers) as span:
-            self._spawn_missing()
-        self.spinups += 1
-        telemetry.count("parallel.pool.spinups")
-        return span.seconds
-
-    def begin_job(self, *, capture_events: bool = False,
-                  context=None) -> _PoolJob:
-        """Start a new generation on every worker.
-
-        ``capture_events`` buffers worker event streams for the job's
-        stats batch; ``context`` joins the workers' registries to the
-        caller's trace.  Counts a pool *reuse* when no spawn was
-        needed — the telemetry the benchmark asserts amortization on.
-        """
-        if self._active_job is not None:
-            raise RuntimeError("pool already has an active job")
-        spinup = self.ensure_workers()
-        self._gen += 1
         self.jobs += 1
-        telemetry.count("parallel.pool.generations")
-        if spinup == 0.0:
-            telemetry.count("parallel.pool.reuses")
-        payload = {"capture_events": capture_events, "context": context}
-        for control in self._controls:
-            control.put(("gen", self._gen, payload))
-        job = _PoolJob(self, self._gen, spinup)
-        self._active_job = job
-        self._last_used = time.monotonic()
-        return job
-
-    def maybe_reap(self, now: Optional[float] = None) -> bool:
-        """Reap live workers if the pool has idled past the threshold.
-
-        Called opportunistically (end of a batch); the pool stays open — the next job just pays a fresh spin-up.
-        """
-        if self.closed or not self._procs or self._active_job is not None:
-            return False
-        if self.idle_reap_seconds is None:
-            return False
-        now = time.monotonic() if now is None else now
-        if now - self._last_used < self.idle_reap_seconds:
-            return False
-        self._stop_workers()
-        telemetry.count("parallel.pool.reaps")
-        return True
+        tel.count("parallel.pool.jobs")
+        tel.count("parallel.pool.tasks", len(calls))
+        futures = []
+        submitted = []
+        try:
+            if self._executor is None:
+                self._executor = ProcessPoolExecutor(
+                    self.workers, initializer=_init_pool_worker)
+                # under fork, the first submit starts every worker
+                # before it returns: that submit is the spin-up
+                with tel.span("parallel.pool_spinup",
+                              workers=self.workers):
+                    submitted.append(time.time())
+                    futures.append(self._executor.submit(
+                        _pool_task, *calls[0]))
+                self.spinups += 1
+                tel.count("parallel.pool.spinups")
+            for func, args in calls[len(futures):]:
+                submitted.append(time.time())
+                futures.append(self._executor.submit(_pool_task, func,
+                                                     args))
+            outcomes = [future.result() for future in futures]
+        except BrokenProcessPool as exc:
+            self._discard()
+            raise RuntimeError(
+                f"a pool worker died mid-job ({exc}); the pool "
+                f"respawns on the next job") from exc
+        wait = tel.histogram("parallel.queue_wait_seconds")
+        for enqueued, (_, started, _, _, _) in zip(submitted, outcomes):
+            wait.record(max(started - enqueued, 0.0))
+        idle = tel.histogram("parallel.worker_idle_seconds")
+        for gap in _worker_idle_gaps(
+                (pid, started, finished)
+                for pid, started, finished, _, _ in outcomes):
+            idle.record(gap)
+        for index, (func, _) in enumerate(calls):
+            error = outcomes[index][4]
+            if error is not None:
+                raise RuntimeError(f"pool task {index} "
+                                   f"({func.__name__}) failed: {error}")
+        return [outcome[3] for outcome in outcomes]
 
     def close(self) -> None:
         """Tear the pool down for good (idempotent)."""
         if self.closed:
             return
         self.closed = True
-        if self._procs:
-            tel = telemetry.get()
-            with tel.span("parallel.pool_teardown",
-                          workers=len(self._procs)):
-                self._stop_workers()
+        if self._executor is not None:
+            with telemetry.get().span("parallel.pool_teardown",
+                                      workers=self.workers):
+                self._discard()
 
-    # -- internals -----------------------------------------------------
-
-    def _spawn_missing(self) -> None:
-        while len(self._procs) < self.workers:
-            slot = len(self._procs)
-            control = self._ctx.Queue()
-            proc = self._ctx.Process(
-                target=_pool_worker_main,
-                name=f"repro-pool-{slot}",
-                args=(slot, control, self._task_q, self._results_q),
-                daemon=True)
-            proc.start()
-            self._controls.append(control)
-            self._procs.append(proc)
-
-    def _stop_workers(self, join_timeout: float = 5.0) -> None:
-        for control in self._controls:
-            try:
-                control.put(("stop",))
-            except Exception:  # noqa: BLE001 — teardown best-effort
-                pass
-        for proc in self._procs:
-            proc.join(timeout=join_timeout)
-        for proc in self._procs:
-            if proc.is_alive():
-                proc.terminate()
-                proc.join(timeout=1.0)
-        self._procs = []
-        self._controls = []
-        self._gen += 1  # invalidate any stale queued tasks
-        for q in (self._task_q, self._results_q):
-            self._drain(q)
-
-    @staticmethod
-    def _drain(q) -> None:
-        while True:
-            try:
-                q.get_nowait()
-            except Empty:
-                return
+    def _discard(self) -> None:
+        executor, self._executor = self._executor, None
+        if executor is not None:
+            executor.shutdown(wait=True)
 
 
-#: the process-wide shared pool (lazily created, grown on demand)
+#: the process-wide shared pool (lazily created)
 _POOL: Optional[WorkerPool] = None
 
 
 def get_pool(workers: int) -> WorkerPool:
-    """The process-wide shared :class:`WorkerPool`, grown to at least
-    ``workers`` wide.  All pool consumers (batches and the Table-1
-    harness) share it, which is what amortizes the spin-up."""
+    """The process-wide shared :class:`WorkerPool`, at least ``workers``
+    wide.  All pool consumers (batches and the Table-1 harness) share
+    it, which is what amortizes the spin-up; a wider request replaces
+    it with a new pool."""
     global _POOL
     if in_pool_worker():
         raise RuntimeError("nested worker pools are not supported")
-    if _POOL is None or _POOL.closed:
+    if _POOL is not None and (_POOL.closed or _POOL.workers < workers):
+        _POOL.close()
+        _POOL = None
+    if _POOL is None:
         _POOL = WorkerPool(workers)
-    elif _POOL.workers < workers:
-        _POOL.grow(workers)
     return _POOL
 
 
@@ -731,16 +515,6 @@ def close_pool() -> None:
 
 
 atexit.register(close_pool)
-
-
-@contextmanager
-def private_pool(workers: int) -> Iterator[WorkerPool]:
-    """A throwaway pool with per-call lifetime (closed on exit)."""
-    pool = WorkerPool(workers, idle_reap_seconds=None)
-    try:
-        yield pool
-    finally:
-        pool.close()
 
 
 def measure_incremental_ab(workload_name: str = "sqlite-7be932d", *,

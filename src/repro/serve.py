@@ -5,9 +5,8 @@ a single-site deployment.  A real operator runs a *fleet*: many
 instances execute the same deployed version, so the expected wait for
 the next occurrence shrinks roughly with fleet size.  This module
 simulates that: ``N`` production instances per workload (each its own
-:class:`~repro.core.production.ProductionSite`, running on the
-:class:`~repro.core.production.DeferredOccurrence` machinery) stream
-failure reports into a queue; a dispatcher deduplicates them by
+:class:`~repro.core.production.ProductionSite` on its own thread)
+stream failure reports into a queue; a dispatcher deduplicates them by
 canonical fault signature (:mod:`repro.core.signature`) into
 *buckets*, and one :class:`~repro.core.reconstructor.ExecutionReconstructor`
 per bucket consumes occurrences from **any** instance — the iteration's
@@ -114,9 +113,9 @@ class FleetInstance:
     Deploys arrive on an inbox and are executed strictly in FIFO order
     (the version-lockstep that keeps per-instance occurrence counters —
     and therefore shipped traces — identical to the single-site path).
-    Each run goes through ``ProductionSite.start()``/``wait()``, i.e.
-    the deferred machinery, and ships either a
-    :class:`FailureReport` or an :class:`InstanceError`.
+    Each run is a ``ProductionSite.run_once()`` on the instance's own
+    thread and ships either a :class:`FailureReport` or an
+    :class:`InstanceError`.
     """
 
     def __init__(self, instance_id: int, workload_name: str,
@@ -170,7 +169,7 @@ class FleetInstance:
         with reg.span("serve.instance_run", instance=self.id,
                       workload=self.workload, version=version):
             try:
-                occurrence = self.site.start(module).wait()
+                occurrence = self.site.run_once(module)
             except Exception as exc:  # noqa: BLE001 — shipped as a report
                 reg.count("serve.instance_errors")
                 logger.warning("instance %s/%d version %d failed: %s",

@@ -25,8 +25,8 @@ NESTED_SPANS = {
 }
 
 #: coordination-overhead sources: table label -> histogram name.  The
-#: first two are recorded by pool workers (folded into the parent
-#: registry), the spans by the pool lifecycle,
+#: first two are computed by the parent from per-task wall-clock
+#: stamps, the spans by the pool lifecycle,
 #: and the lock wait by ``DiskSolverCache`` around its ``flock`` calls.
 OVERHEAD_SOURCES = (
     ("worker idle", "parallel.worker_idle_seconds"),
@@ -226,12 +226,9 @@ def render_stats(events: Sequence[Dict]) -> str:
         histograms = metrics.get("histograms", {})
         spinups = counters.get("parallel.pool.spinups", 0)
         if spinups:
-            generations = counters.get("parallel.pool.generations", 0)
             parts.append(
-                f"worker pool: {spinups} spin-ups over {generations} "
-                f"jobs ({counters.get('parallel.pool.reuses', 0)} "
-                f"reused, {counters.get('parallel.pool.reaps', 0)} "
-                f"idle reaps)")
+                f"worker pool: {spinups} spin-ups over "
+                f"{counters.get('parallel.pool.jobs', 0)} jobs")
         reports = counters.get("serve.reports", 0)
         if reports:
             wait = histograms.get(

@@ -3,6 +3,7 @@ paper's qualitative shape (on fast subsets where full runs are slow)."""
 
 import pytest
 
+from repro import telemetry
 from repro.evaluation.accuracy import run_accuracy
 from repro.evaluation.casestudy import run_casestudy
 from repro.evaluation.figure1 import BOUNDARY, run_figure1
@@ -79,6 +80,21 @@ class TestTable1:
             [key(r) for r in serial.rows]
         # pooled rows shed the unpicklable report payload
         assert all(r.report is None for r in pooled.rows)
+
+    def test_pooled_worker_telemetry_folds_into_caller(self):
+        names = ["objdump-2018-6323", "matrixssl-2014-1569"]
+
+        def counters(parallel):
+            registry = telemetry.Telemetry()
+            with telemetry.scoped(registry):
+                run_table1(names=names, parallel=parallel)
+            return {name: value for name, value
+                    in registry.snapshot()["counters"].items()
+                    if not name.startswith("parallel.")}
+
+        serial = counters(1)
+        assert serial["reconstruct.runs"] == len(names)
+        assert counters(2) == serial
 
 
 class TestFigure5:

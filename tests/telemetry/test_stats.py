@@ -151,6 +151,18 @@ class TestRenderStats:
         assert "Metric histograms" in text
         assert "symex.gap_attempts" in text
 
+    def test_worker_pool_line(self):
+        events = [
+            iteration_end(1),
+            {"type": "snapshot",
+             "metrics": {"counters": {"parallel.pool.spinups": 1,
+                                      "parallel.pool.jobs": 3},
+                         "histograms": {}}},
+        ]
+        text = render_stats(events)
+        assert "worker pool: 1 spin-ups over 3 jobs" in text
+        assert "worker pool" not in render_stats([iteration_end(1)])
+
     def test_no_cache_line_without_cache_counters(self):
         events = [
             iteration_end(1),

@@ -8,6 +8,7 @@ reconstruction is byte-identical to the single-site path, because
 every instance runs every deployed version exactly once.
 """
 
+import threading
 import time
 from types import SimpleNamespace
 
@@ -208,6 +209,28 @@ class TestFleetService:
             FleetService([WORKLOAD], instances=0)
         with pytest.raises(ValueError):
             FleetService([WORKLOAD], parallel=0)
+
+
+class TestInstanceThreads:
+    def test_production_runs_on_the_instance_thread(self, monkeypatch,
+                                                    abort_module):
+        # each instance waits for its reoccurrence on its own thread;
+        # no helper thread is started per run
+        threads = []
+
+        def factory(occ):
+            threads.append(threading.current_thread().name)
+            return Environment({"stdin": b"\xc8"})
+
+        fake = SimpleNamespace(name="fake", failing_env=factory,
+                               fresh_module=abort_module.clone,
+                               work_limit=100_000, max_occurrences=5)
+        monkeypatch.setattr("repro.serve.get_workload", lambda name: fake)
+        summary = FleetService(["fake"], instances=2,
+                               wait_timeout=30.0).run()
+        assert summary.succeeded
+        assert threads
+        assert set(threads) <= {"repro-serve-fake-0", "repro-serve-fake-1"}
 
 
 class TestFleetErrors:
